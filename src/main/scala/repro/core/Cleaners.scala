@@ -4,6 +4,8 @@ package repro.core
   * repaired copy of the same length with identical timestamps.
   *
   * Implementations must not mutate the input array or its value vectors.
+  * The MTCSC cleaners check their input while copying it
+  * ([[TimePoint.checkedCopyOf]]) and reject a series outside the contract.
   */
 trait Cleaner extends Serializable {
   /** Display name used in result tables (matches the paper's labels). */

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayDeque
-
 /** MTCSC-A — MTCSC-C with an adaptively re-captured speed constraint
   * (Algorithm 5).
   *
@@ -22,13 +20,15 @@ final case class MtcscA(
   override def name: String = "MTCSC-A"
 
   override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.copyOf(xs)
+    val out = TimePoint.checkedCopyOf(xs)
     val state = new MtcscA.AdaptiveState(b, tau, m, beta)
-    var s = initial.s
+    val scratch = new MtcscC.Scratch
+    var sc = initial
     var k = 1
     while (k < xs.length) {
-      s = state.update(xs(k - 1), xs(k), s)
-      MtcscC.step(out, xs, k, SpeedConstraint(s, initial.w))
+      val s = state.update(xs(k - 1), xs(k), sc.s)
+      if (s != sc.s) sc = SpeedConstraint(s, initial.w)
+      MtcscC.step(out, xs, k, sc, scratch)
       k += 1
     }
     out
@@ -40,29 +40,110 @@ object MtcscA {
   /** Mutable Algorithm 5 state: two adjacent speed windows. Raw speeds
     * are stored (not bucket ids) so UpdateDistribution under a changed
     * constraint is a pure re-bucketing of the same values.
+    *
+    * The newest 2m speeds sit in one ring buffer, oldest first: W1 is
+    * its older half and W2 its newer half. Once both are full, the bucket
+    * counts of each are kept up to date as one speed enters W2, one moves
+    * from W2 to W1 and one leaves W1; they are recounted only when `s`
+    * differs from the `s` they were counted under. W2 is also kept
+    * sorted, so a recapture reads its percentile without sorting.
     */
   final class AdaptiveState(b: Int, tau: Double, m: Int, beta: Double) {
-    private val w1 = ArrayDeque.empty[Double]
-    private val w2 = ArrayDeque.empty[Double]
+    private val ring = new Array[Double](2 * m)
+    private var oldest = 0 // ring index of W1's first speed once both are full
+    private var filled = 0
+    private val sortedW2 = new Array[Double](m)
+    private val c1 = new Array[Int](b)
+    private val c2 = new Array[Int](b)
+    private val p1 = new Array[Double](b)
+    private val p2 = new Array[Double](b)
+    private var countedS = Double.NaN
+    private var width = Double.NaN
+    // Whether KL(W1 || W2) > tau; stale once the counts change.
+    private var divergent = false
+    private var stale = true
+
+    private def at(i: Int): Double = {
+      val j = oldest + i
+      ring(if (j >= ring.length) j - ring.length else j)
+    }
+    private def bucketOf(v: Double): Int = bucket(v, b, countedS, width)
+
+    private def recount(s: Double): Unit = {
+      countedS = s
+      width = s / (b - 1)
+      java.util.Arrays.fill(c1, 0)
+      java.util.Arrays.fill(c2, 0)
+      var i = 0
+      while (i < m) {
+        c1(bucketOf(at(i))) += 1
+        c2(bucketOf(at(m + i))) += 1
+        i += 1
+      }
+    }
+
+    /** Insert `v` into `sortedW2[0, n)`, which has room at n. */
+    private def insertSorted(v: Double, n: Int): Unit = {
+      var j = java.util.Arrays.binarySearch(sortedW2, 0, n, v)
+      if (j < 0) j = -j - 1
+      System.arraycopy(sortedW2, j, sortedW2, j + 1, n - j)
+      sortedW2(j) = v
+    }
+
+    /** Replace one copy of `old` in the full `sortedW2` by `v`. */
+    private def replaceSorted(old: Double, v: Double): Unit = {
+      val i = java.util.Arrays.binarySearch(sortedW2, 0, m, old)
+      var j = java.util.Arrays.binarySearch(sortedW2, 0, m, v)
+      if (j < 0) j = -j - 1
+      if (j > i) { System.arraycopy(sortedW2, i + 1, sortedW2, i, j - 1 - i); sortedW2(j - 1) = v }
+      else { System.arraycopy(sortedW2, j, sortedW2, j + 1, i - j); sortedW2(j) = v }
+    }
 
     /** Feed the speed of (p -> k); returns the (possibly updated) s. */
     def update(p: TimePoint, k: TimePoint, s: Double): Double = {
       val dt = k.t - p.t
       if (dt <= 0) return s
       val s1 = k.dist(p) / dt
-      var out = s
-      if (w1.size < m) w1.append(s1)
-      else if (w2.size < m) w2.append(s1)
-      else {
-        if (kl(distribution(w1, b, s), distribution(w2, b, s)) > tau)
-          out = SpeedConstraint.quantile(w2.toArray, 0.95) / beta
-        val s2 = w2.removeHead()
-        w1.append(s2); w1.removeHead()
-        w2.append(s1)
+      if (filled < ring.length) {
+        if (filled >= m) insertSorted(s1, filled - m)
+        ring(filled) = s1
+        filled += 1
+        return s
       }
+      if (s != countedS) { recount(s); stale = true }
+      if (stale) {
+        // The distributions of full windows: counts over m, as `distribution`.
+        var i = 0
+        while (i < b) { p1(i) = c1(i) / m.toDouble; p2(i) = c2(i) / m.toDouble; i += 1 }
+        divergent = kl(p1, p2) > tau
+        stale = false
+      }
+      val out = if (divergent) sortedW2(SpeedConstraint.nearestRank(m, 0.95)) / beta else s
+      // Slide: W1 drops its oldest speed and takes W2's oldest; W2 takes s1.
+      val moving = at(m)
+      val left = bucketOf(at(0))
+      val moved = bucketOf(moving)
+      val entered = bucketOf(s1)
+      if (left != moved || moved != entered) {
+        c1(left) -= 1
+        c1(moved) += 1
+        c2(moved) -= 1
+        c2(entered) += 1
+        stale = true
+      }
+      replaceSorted(moving, s1)
+      ring(oldest) = s1
+      oldest = if (oldest + 1 == ring.length) 0 else oldest + 1
       out
     }
   }
+
+  /** Bucket of speed `v`: b-1 equal intervals of `width = s / (b - 1)` over
+    * [0, s] plus the overflow (s, inf). The one bucketing rule, shared by
+    * [[bucketCounts]] and [[AdaptiveState]].
+    */
+  def bucket(v: Double, b: Int, s: Double, width: Double): Int =
+    if (v > s) b - 1 else math.min(b - 2, math.max(0, math.ceil(v / width).toInt - 1))
 
   /** Bucket counts: b-1 equal intervals over [0, s] plus overflow (s, inf).
     * (Example 4.1: s = 2.2, b = 6 yields interval width 0.44.)
@@ -70,10 +151,7 @@ object MtcscA {
   def bucketCounts(speeds: Iterable[Double], b: Int, s: Double): Array[Int] = {
     val counts = Array.fill(b)(0)
     val width = s / (b - 1)
-    for (v <- speeds) {
-      val idx = if (v > s) b - 1 else math.min(b - 2, math.max(0, math.ceil(v / width).toInt - 1))
-      counts(idx) += 1
-    }
+    for (v <- speeds) counts(bucket(v, b, s, width)) += 1
     counts
   }
 

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** MTCSC-C — online cleaning via window clustering (Algorithms 3 + 4).
   *
   * For each key point k the succeeding points inside the window are
@@ -16,12 +14,8 @@ final case class MtcscC(sc: SpeedConstraint) extends Cleaner {
   override def name: String = "MTCSC-C"
 
   override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.copyOf(xs)
-    var k = 1
-    while (k < xs.length) {
-      MtcscC.step(out, xs, k, sc)
-      k += 1
-    }
+    val out = TimePoint.checkedCopyOf(xs)
+    MtcscC.run(out, xs, sc, new MtcscC.Scratch)
     out
   }
 }
@@ -35,40 +29,66 @@ object MtcscC {
   private final val OMIT = -2
   private final val HEAD = -1
 
-  /** BuildCluster (Algorithm 3) over the succeeding points of a window.
-    *
-    * @param p  the last repaired point before the window (x'_{k-1})
-    * @param w  the succeeding points x_{k+1}.. inside the window
-    * @return   clusters in creation order; each cluster lists relative
-    *           indices into `w`, first element = cluster head
+  /** Reusable BuildCluster arrays, indexed relative to the window start:
+    * the cluster flags, and for each head the size of its cluster. They
+    * grow to the longest window seen; one instance serves a whole series
+    * (and, in MTCSC-Uni, every dimension).
     */
-  def buildClusters(p: TimePoint, w: Array[TimePoint], sc: SpeedConstraint): Seq[Seq[Int]] = {
-    val n = w.length
-    if (n == 0) return Seq.empty
-    val f = Array.fill(n)(OMIT)
-    val map = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    // Lines 3-6: first point compatible with p starts the first cluster.
-    var head = -1
-    var l = 0
-    while (l < n && head < 0) {
-      if (sc.speedOk(p, w(l))) { head = l; f(l) = HEAD; map(l) = mutable.ArrayBuffer(l) }
-      else l += 1
+  final class Scratch {
+    private[MtcscC] var flags = new Array[Int](16)
+    private[MtcscC] var sizes = new Array[Int](16)
+
+    private[MtcscC] def ensure(n: Int): Unit = if (flags.length < n) {
+      val cap = math.max(n, 2 * flags.length)
+      flags = new Array[Int](cap)
+      sizes = new Array[Int](cap)
     }
-    if (head < 0) return Seq.empty
+  }
+
+  /** Algorithm 4 over a whole series: repairs `out` (a copy of `xs`) in place. */
+  def run(out: Array[TimePoint], xs: Array[TimePoint], sc: SpeedConstraint, scratch: Scratch): Unit = {
+    var k = 1
+    while (k < xs.length) {
+      step(out, xs, k, sc, scratch)
+      k += 1
+    }
+  }
+
+  /** BuildCluster (Algorithm 3) over the succeeding points `xs[from, end)`
+    * of a window, anchored on `p`, the last repaired point before it.
+    * Returns the index into `xs` of the head of the largest cluster — the
+    * first such cluster in creation order on ties — or -1 if no point of
+    * the window is compatible with `p`. Only cluster sizes are kept, no
+    * member lists.
+    */
+  def largestClusterHead(p: TimePoint, xs: Array[TimePoint], from: Int, end: Int,
+                         sc: SpeedConstraint, scratch: Scratch): Int = {
+    val n = end - from
+    scratch.ensure(n)
+    val f = scratch.flags
+    val size = scratch.sizes
+    // Lines 3-6: first point compatible with p starts the first cluster.
+    var head = 0
+    while (head < n && !sc.speedOk(p, xs(from + head))) head += 1
+    if (head == n) return -1
+    f(head) = HEAD
+    size(head) = 1
     var i = head + 1
     while (i < n) {
+      f(i) = OMIT
+      val xi = xs(from + i)
       var j = i - 1
       var done = false
-      while (!done && j >= head) {
-        if (sc.speedOk(w(i), w(j))) {
+      while (!done) {
+        if (sc.speedOk(xi, xs(from + j))) {
           // Action 1 — join j's cluster; a hit on an omitted j leaves i
           // omitted too (similar properties to a dirty point).
-          if (f(j) == HEAD) { f(i) = j; map(j) += i }
-          else if (f(j) >= 0) { f(i) = f(j); map(f(i)) += i }
+          if (f(j) == HEAD) { f(i) = j; size(j) += 1 }
+          else if (f(j) >= 0) { f(i) = f(j); size(f(j)) += 1 }
           done = true
         } else if (j == head || f(j) >= 0) {
           // Action 2 — try to open a new cluster, anchored on p.
-          if (sc.speedOk(p, w(i))) { f(i) = HEAD; map(i) = mutable.ArrayBuffer(i) }
+          if (sc.speedOk(p, xi)) { f(i) = HEAD; size(i) = 1 }
           done = true
         } else {
           j -= 1 // Action 3 — j is a cluster head or omitted: look further back
@@ -76,20 +96,27 @@ object MtcscC {
       }
       i += 1
     }
-    map.values.map(_.toSeq).toSeq
+    // Heads are created in window order, so the first strictly larger
+    // size wins ties for the earliest cluster.
+    var best = head
+    var h = head + 1
+    while (h < n) {
+      if (f(h) == HEAD && size(h) > size(best)) best = h
+      h += 1
+    }
+    from + best
   }
 
   /** One Algorithm 4 iteration for key point k; repairs out(k) in place.
     * Factored out so MTCSC-A can reuse it with an evolving constraint.
     */
-  def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, sc: SpeedConstraint): Unit = {
+  def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, sc: SpeedConstraint,
+           scratch: Scratch): Unit = {
     val n = xs.length
     var end = k + 1
     while (end < n && xs(end).t <= xs(k).t + sc.w) end += 1
-    val window = xs.slice(k + 1, end)
-    val clusters = buildClusters(out(k - 1), window, sc)
-    if (clusters.nonEmpty) {
-      val rep = k + 1 + clusters.maxBy(_.size).head // first point of largest cluster
+    val rep = largestClusterHead(out(k - 1), xs, k + 1, end, sc, scratch)
+    if (rep >= 0) {
       if (!(sc.speedOk(out(k - 1), xs(k)) && sc.speedOk(xs(k), xs(rep)))) {
         val alpha = (xs(k).t - out(k - 1).t) / (xs(rep).t - out(k - 1).t)
         var l = 0

@@ -15,45 +15,71 @@ package repro.core
   * within `w` of two mutually-unconstrained anchors whose candidate
   * balls do not intersect, making the repair infeasible; the pure test
   * excludes that case and makes interpolation provably sound, see
-  * DESIGN.md.) Complexity O(Dn²) as in the paper.
+  * DESIGN.md.)
   */
 final case class MtcscG(sc: SpeedConstraint) extends Cleaner {
   override def name: String = "MTCSC-G"
 
   override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    if (xs.length <= 1) return TimePoint.copyOf(xs)
-    MtcscG.repair(xs, MtcscG.fixList(xs, sc))
+    val out = TimePoint.checkedCopyOf(xs)
+    if (xs.length > 1) MtcscG.repairInto(out, xs, MtcscG.fixList(xs, sc))
+    out
   }
 }
 
 object MtcscG {
 
-  /** The paper's Algorithm 1: O(n²) longest-compatible-chain DP. Returns
-    * the sorted indices of points that must be fixed (FixList).
+  /** The paper's Algorithm 1, the longest-compatible-chain DP, with an
+    * exact pruning. Returns the sorted indices of points that must be
+    * fixed (FixList).
+    *
+    * `dp(i)` is the longest chain ending at i and `pre(i)` its
+    * predecessor: the *smallest* compatible j reaching the best
+    * `dp(j) + 1`, the tie-break of the plain forward scan over j. Here j
+    * runs downward from i - 1 and a compatible j with
+    * `dp(j) + 1 >= dp(i)` is taken, so ties move to smaller j. `prefMax(j)
+    * = max dp[0..j]` bounds every chain through a j' <= j, so the scan
+    * stops once `prefMax(j) + 1 < dp(i)`: no earlier j can reach, let
+    * alone tie, the best. On mostly clean data a point's chain is found a
+    * few steps back and the DP is near linear. The worst case is still
+    * O(Dn²): a point compatible with nothing before it (dense errors)
+    * scans all of its predecessors.
     */
   def fixList(xs: Array[TimePoint], sc: SpeedConstraint): Array[Int] = {
     val n = xs.length
-    val dp = Array.fill(n)(1)
-    val pre = Array.fill(n)(-1)
+    val dp = new Array[Int](n)
+    val prefMax = new Array[Int](n)
+    val pre = new Array[Int](n)
     var maxLen = 0
     var endIdx = 0
     var i = 0
     while (i < n) {
-      var j = 0
-      while (j < i) {
-        if (sc.speedOk(xs(i), xs(j)) && dp(i) < dp(j) + 1) {
-          dp(i) = dp(j) + 1
-          pre(i) = j
+      var best = 1
+      var from = -1
+      var j = i - 1
+      while (j >= 0 && prefMax(j) + 1 >= best) {
+        if (dp(j) + 1 >= best && sc.speedOk(xs(i), xs(j))) {
+          best = dp(j) + 1
+          from = j
         }
-        j += 1
+        j -= 1
       }
-      if (dp(i) > maxLen) { maxLen = dp(i); endIdx = i }
+      dp(i) = best
+      pre(i) = from
+      prefMax(i) = if (i == 0) best else math.max(prefMax(i - 1), best)
+      if (best > maxLen) { maxLen = best; endIdx = i }
       i += 1
     }
-    val clean = Array.fill(n)(false)
-    var k = endIdx
-    while (k >= 0) { clean(k) = true; k = pre(k) }
-    (0 until n).filterNot(clean).toArray
+    val fixes = new Array[Int](n - maxLen)
+    var f = fixes.length
+    var chain = endIdx
+    var k = n - 1
+    while (k >= 0) {
+      if (k == chain) chain = pre(k)
+      else { f -= 1; fixes(f) = k }
+      k -= 1
+    }
+    fixes
   }
 
   /** Interpolation repair (formula (6)) of every FixList point between its
@@ -61,8 +87,14 @@ object MtcscG {
     */
   def repair(xs: Array[TimePoint], fixes: Array[Int]): Array[TimePoint] = {
     val out = TimePoint.copyOf(xs)
-    if (fixes.isEmpty) return out
-    val isFix = Array.fill(xs.length)(false)
+    repairInto(out, xs, fixes)
+    out
+  }
+
+  /** [[repair]] into `out`, a copy of `xs`. */
+  private def repairInto(out: Array[TimePoint], xs: Array[TimePoint], fixes: Array[Int]): Unit = {
+    if (fixes.isEmpty) return
+    val isFix = new Array[Boolean](xs.length)
     fixes.foreach(isFix(_) = true)
     for (i <- fixes) {
       var p = i - 1
@@ -82,6 +114,5 @@ object MtcscG {
         case _             => () // single-point series: nothing to anchor on
       }
     }
-    out
   }
 }

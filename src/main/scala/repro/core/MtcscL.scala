@@ -13,7 +13,7 @@ final case class MtcscL(sc: SpeedConstraint) extends Cleaner {
   override def name: String = "MTCSC-L"
 
   override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.copyOf(xs)
+    val out = TimePoint.checkedCopyOf(xs)
     val n = xs.length
     var k = 1
     while (k < n) {

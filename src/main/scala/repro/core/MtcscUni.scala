@@ -8,33 +8,24 @@ final case class MtcscUni(scs: Array[SpeedConstraint]) extends Cleaner {
   override def name: String = "MTCSC-Uni"
 
   override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    if (xs.isEmpty) return Array.empty
+    val out = TimePoint.checkedCopyOf(xs)
+    if (xs.isEmpty) return out
     val d = xs(0).dim
     require(scs.length == d, s"need one constraint per dimension ($d), got ${scs.length}")
-    val out = TimePoint.copyOf(xs)
+    // One univariate input and output series and one scratch, refilled
+    // for every dimension and run through the shared MTCSC-C kernel.
+    val uni = xs.map(p => TimePoint.uni(p.t, 0.0))
+    val uniOut = xs.map(p => TimePoint.uni(p.t, 0.0))
+    val scratch = new MtcscC.Scratch
     var l = 0
     while (l < d) {
-      val uni = xs.map(p => TimePoint.uni(p.t, p.v(l)))
-      val cleaned = MtcscC(scs(l)).clean(uni)
       var i = 0
-      while (i < xs.length) { out(i).v(l) = cleaned(i).v(0); i += 1 }
+      while (i < xs.length) { uni(i).v(0) = xs(i).v(l); uniOut(i).v(0) = xs(i).v(l); i += 1 }
+      MtcscC.run(uniOut, uni, scs(l), scratch)
+      i = 0
+      while (i < xs.length) { out(i).v(l) = uniOut(i).v(0); i += 1 }
       l += 1
     }
     out
-  }
-}
-
-object MtcscUni {
-  /** Capture a per-dimension constraint from the data (95th percentile of
-    * per-dimension absolute consecutive speeds) — matches how the paper's
-    * univariate competitors obtain their constraints.
-    */
-  def capture(xs: Array[TimePoint], w: Double, percentile: Double = 0.95): MtcscUni = {
-    val d = xs(0).dim
-    val scs = Array.tabulate(d) { l =>
-      val uni = xs.map(p => TimePoint.uni(p.t, p.v(l)))
-      SpeedConstraint.capture(uni, w, percentile)
-    }
-    MtcscUni(scs)
   }
 }

@@ -77,8 +77,9 @@ object SpeedConstraint {
   /** Nearest-rank quantile over a non-empty sample. */
   def quantile(sample: Array[Double], q: Double): Double = {
     require(sample.nonEmpty)
-    val sorted = sample.sorted
-    val rank = math.min(sorted.length - 1, math.max(0, math.ceil(q * sorted.length).toInt - 1))
-    sorted(rank)
+    sample.sorted.apply(nearestRank(sample.length, q))
   }
+
+  /** Index of the nearest-rank q-quantile in a sorted sample of size n. */
+  def nearestRank(n: Int, q: Double): Int = math.min(n - 1, math.max(0, math.ceil(q * n).toInt - 1))
 }

@@ -40,6 +40,51 @@ object TimePoint {
 
   /** Deep copy of a whole series. */
   def copyOf(xs: Array[TimePoint]): Array[TimePoint] = xs.map(copyOf)
+
+  /** Deep copy of a series that also checks the cleaners' input contract
+    * in the same pass: timestamps finite and non-decreasing (duplicates
+    * are allowed), values finite, and every point of the first point's
+    * dimension. Throws IllegalArgumentException naming the first bad index.
+    */
+  def checkedCopyOf(xs: Array[TimePoint]): Array[TimePoint] = {
+    val out = new Array[TimePoint](xs.length)
+    val d = if (xs.isEmpty) 0 else xs(0).dim
+    var prevT = Double.NegativeInfinity
+    var i = 0
+    while (i < xs.length) {
+      val p = xs(i)
+      val src = p.v
+      if (!java.lang.Double.isFinite(p.t) || p.t < prevT || src.length != d) reject(xs, i)
+      // Checking each value as it is copied keeps this as fast as
+      // `copyOf`; checking before or after a clone costs markedly more.
+      val v = new Array[Double](d)
+      var l = 0
+      while (l < d) {
+        val x = src(l)
+        if (!java.lang.Double.isFinite(x)) reject(xs, i)
+        v(l) = x
+        l += 1
+      }
+      prevT = p.t
+      out(i) = TimePoint(p.t, v)
+      i += 1
+    }
+    out
+  }
+
+  /** The error for point i, the first that breaks the input contract. */
+  private def reject(xs: Array[TimePoint], i: Int): Nothing = {
+    val p = xs(i)
+    val why =
+      if (!java.lang.Double.isFinite(p.t)) "timestamp is not finite"
+      else if (i > 0 && p.t < xs(i - 1).t) s"timestamp decreases from ${xs(i - 1).t}"
+      else if (p.dim != xs(0).dim) s"has ${p.dim} dimensions, point 0 has ${xs(0).dim}"
+      else {
+        val l = p.v.indexWhere(x => !java.lang.Double.isFinite(x))
+        s"value ${p.v(l)} in dimension $l is not finite"
+      }
+    throw new IllegalArgumentException(s"point $i (t = ${p.t}): $why")
+  }
 }
 
 /** Spark-facing row for one observation of one series.

@@ -14,9 +14,9 @@ object Harness {
 
   /** One result row of a comparison table. */
   final case class ResultRow(method: String, rmse: Double, repairDistance: Double,
-                             repairCount: Int, repairFraction: Double, millis: Long) {
+                             repairCount: Int, repairFraction: Double, millis: Double) {
     def fmt(n: Int): String =
-      f"$method%-10s ${rmse}%8.4f ${repairDistance}%10.4f   $repairCount%6d(${repairFraction * 100}%5.2f%%) ${millis}%6d ms"
+      f"$method%-10s ${rmse}%8.4f ${repairDistance}%10.4f   $repairCount%6d(${repairFraction * 100}%5.2f%%) ${millis}%8.2f ms"
   }
 
   /** Constraint configuration for one experiment. All constraint-based
@@ -82,7 +82,7 @@ object Harness {
   }
 
   def score(name: String, repaired: Array[TimePoint],
-            dirty: Array[TimePoint], truth: Array[TimePoint], ms: Long): ResultRow =
+            dirty: Array[TimePoint], truth: Array[TimePoint], ms: Double): ResultRow =
     ResultRow(name, Metrics.rmse(repaired, truth), Metrics.repairDistance(repaired, dirty),
       Metrics.repairCount(repaired, dirty), Metrics.repairFraction(repaired, dirty), ms)
 
@@ -94,7 +94,7 @@ object Harness {
   }
 
   def formatTable(title: String, rows: Seq[ResultRow]): String = {
-    val header = f"${"method"}%-10s ${"RMSE"}%8s ${"repairDist"}%10s ${"repairNum"}%15s ${"time"}%9s"
+    val header = f"${"method"}%-10s ${"RMSE"}%8s ${"repairDist"}%10s ${"repairNum"}%15s ${"time"}%11s"
     (s"== $title ==" +: header +: rows.map(_.fmt(0))).mkString("\n")
   }
 }

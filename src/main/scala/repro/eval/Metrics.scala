@@ -44,10 +44,10 @@ object Metrics {
   def repairFraction(repaired: Array[TimePoint], dirty: Array[TimePoint]): Double =
     if (repaired.isEmpty) 0.0 else repairCount(repaired, dirty).toDouble / repaired.length
 
-  /** Wall-clock a thunk, returning (result, millis). */
-  def timed[A](thunk: => A): (A, Long) = {
+  /** Wall-clock a thunk, returning (result, fractional milliseconds). */
+  def timed[A](thunk: => A): (A, Double) = {
     val t0 = System.nanoTime()
     val a = thunk
-    (a, (System.nanoTime() - t0) / 1000000L)
+    (a, (System.nanoTime() - t0) / 1e6)
   }
 }

@@ -16,7 +16,7 @@ class MtcscCSpec extends AnyFunSuite {
   test("Example 3.5: BuildCluster forms {x2}, {x3,x4,x6,x7}, {x5}") {
     val p = TimePoint(0, Array(1.0, 1.0)) // x'_0
     val window = example35.slice(2, 8)    // x2..x7 (succeeding points of key x1)
-    val clusters = MtcscC.buildClusters(p, window, sc)
+    val clusters = Reference.buildClusters(p, window, sc)
     // relative indices into the window: x2 -> 0, x3 -> 1, ..., x7 -> 5
     assert(clusters.map(_.toSet).toSet == Set(Set(0), Set(1, 2, 4, 5), Set(3)))
   }
@@ -24,8 +24,10 @@ class MtcscCSpec extends AnyFunSuite {
   test("Example 3.5: largest cluster head is x3") {
     val p = TimePoint(0, Array(1.0, 1.0))
     val window = example35.slice(2, 8)
-    val clusters = MtcscC.buildClusters(p, window, sc)
+    val clusters = Reference.buildClusters(p, window, sc)
     assert(clusters.maxBy(_.size).head == 1) // x3
+    // the array-backed kernel returns the same head as an index into the series
+    assert(MtcscC.largestClusterHead(p, example35, 2, 8, sc, new MtcscC.Scratch) == 3)
   }
 
   test("Example 3.5: final repair is x1'=(1.83,1), x2'=(2.66,1), x5'=(5.5,1)") {
@@ -81,18 +83,18 @@ class MtcscCSpec extends AnyFunSuite {
     val p = TimePoint.uni(0, 0.0)
     // w[0] incompatible with p, w[1] compatible.
     val window = Array(TimePoint.uni(1, 100.0), TimePoint.uni(2, 1.0))
-    val clusters = MtcscC.buildClusters(p, window, SpeedConstraint(1.0, 6.0))
+    val clusters = Reference.buildClusters(p, window, SpeedConstraint(1.0, 6.0))
     assert(clusters.map(_.toSet) == Seq(Set(1)))
   }
 
   test("no cluster when nothing in the window is compatible with p") {
     val p = TimePoint.uni(0, 0.0)
     val window = Array(TimePoint.uni(1, 100.0), TimePoint.uni(2, 100.0))
-    assert(MtcscC.buildClusters(p, window, SpeedConstraint(1.0, 6.0)).isEmpty)
+    assert(Reference.buildClusters(p, window, SpeedConstraint(1.0, 6.0)).isEmpty)
   }
 
   test("empty window yields no clusters") {
-    assert(MtcscC.buildClusters(TimePoint.uni(0, 0), Array.empty, sc).isEmpty)
+    assert(Reference.buildClusters(TimePoint.uni(0, 0), Array.empty, sc).isEmpty)
   }
 
   test("compatible-with-omitted point stays omitted (Action 1 on a dirty j)") {
@@ -103,7 +105,7 @@ class MtcscCSpec extends AnyFunSuite {
       TimePoint.uni(1, 0.5),
       TimePoint.uni(2, 50.0),
       TimePoint.uni(3, 50.5))
-    val clusters = MtcscC.buildClusters(p, window, SpeedConstraint(1.0, 9.0))
+    val clusters = Reference.buildClusters(p, window, SpeedConstraint(1.0, 9.0))
     assert(clusters.map(_.toSet) == Seq(Set(0)))
   }
 
@@ -112,7 +114,7 @@ class MtcscCSpec extends AnyFunSuite {
     // w0 head, w1 joins w0, w2 incompatible with member w1 but with p fine
     val window = Array(
       TimePoint.uni(1, 0.5), TimePoint.uni(2, 1.0), TimePoint.uni(3, 2.9))
-    val clusters = MtcscC.buildClusters(p, window, SpeedConstraint(1.0, 9.0))
+    val clusters = Reference.buildClusters(p, window, SpeedConstraint(1.0, 9.0))
     assert(clusters.map(_.toSet) == Seq(Set(0, 1), Set(2)))
   }
 
@@ -123,14 +125,14 @@ class MtcscCSpec extends AnyFunSuite {
     val window = Array(
       TimePoint.uni(1, 0.5), TimePoint.uni(2, 2.1), TimePoint.uni(3, 0.9))
     val sc = SpeedConstraint(1.0, 9.0)
-    val clusters = MtcscC.buildClusters(p, window, sc)
+    val clusters = Reference.buildClusters(p, window, sc)
     assert(clusters.map(_.toSet).contains(Set(0, 2)), s"got $clusters")
   }
 
   test("cluster heads and members keep window order inside each cluster") {
     val p = TimePoint.uni(0, 0.0)
     val window = Array.tabulate(6)(i => TimePoint.uni(i + 1.0, (i + 1) * 0.5))
-    val clusters = MtcscC.buildClusters(p, window, SpeedConstraint(1.0, 9.0))
+    val clusters = Reference.buildClusters(p, window, SpeedConstraint(1.0, 9.0))
     assert(clusters.size == 1)
     assert(clusters.head == (0 until 6))
   }

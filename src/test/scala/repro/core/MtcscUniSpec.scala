@@ -25,7 +25,7 @@ class MtcscUniSpec extends AnyFunSuite {
 
   test("capture builds one constraint per dimension") {
     val pts = Array.tabulate(50)(i => TimePoint(i.toDouble, Array(i * 1.0, i * 10.0)))
-    val m = MtcscUni.capture(pts, w = 5)
+    val m = MtcscUni(repro.baselines.PerDim.captureSpeeds(pts, w = 5))
     assert(m.scs.length == 2)
     assert(m.scs(1).s > m.scs(0).s * 5) // dim 1 moves 10x faster
   }

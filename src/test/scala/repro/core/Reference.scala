@@ -1,0 +1,146 @@
+package repro.core
+
+import scala.collection.mutable
+import scala.collection.mutable.ArrayDeque
+
+/** Readable reference versions of the MTCSC kernels: the paper's
+  * algorithms written down directly, kept as test oracles for the pruned
+  * and array-backed kernels in `repro.core`, which must reproduce them
+  * bit for bit.
+  */
+object Reference {
+
+  /** Algorithm 1 without pruning: the O(n²) longest-compatible-chain DP.
+    * `pre(i)` is the smallest compatible j with the best `dp(j) + 1`.
+    */
+  def fixList(xs: Array[TimePoint], sc: SpeedConstraint): Array[Int] = {
+    val n = xs.length
+    val dp = Array.fill(n)(1)
+    val pre = Array.fill(n)(-1)
+    var maxLen = 0
+    var endIdx = 0
+    for (i <- 0 until n) {
+      for (j <- 0 until i)
+        if (sc.speedOk(xs(i), xs(j)) && dp(i) < dp(j) + 1) {
+          dp(i) = dp(j) + 1
+          pre(i) = j
+        }
+      if (dp(i) > maxLen) { maxLen = dp(i); endIdx = i }
+    }
+    val clean = Array.fill(n)(false)
+    var k = endIdx
+    while (k >= 0) { clean(k) = true; k = pre(k) }
+    (0 until n).filterNot(clean).toArray
+  }
+
+  private final val OMIT = -2
+  private final val HEAD = -1
+
+  /** BuildCluster (Algorithm 3) over the succeeding points `w` of a
+    * window, anchored on `p`, the last repaired point before it. Returns
+    * the clusters in creation order; each lists relative indices into
+    * `w`, its head first.
+    */
+  def buildClusters(p: TimePoint, w: Array[TimePoint], sc: SpeedConstraint): Seq[Seq[Int]] = {
+    val n = w.length
+    val f = Array.fill(n)(OMIT)
+    val map = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Int]]
+    val head = w.indexWhere(sc.speedOk(p, _))
+    if (head < 0) return Seq.empty
+    f(head) = HEAD
+    map(head) = mutable.ArrayBuffer(head)
+    for (i <- head + 1 until n) {
+      var j = i - 1
+      var done = false
+      while (!done) {
+        if (sc.speedOk(w(i), w(j))) {
+          // Action 1: join j's cluster; an omitted j leaves i omitted.
+          if (f(j) == HEAD) { f(i) = j; map(j) += i }
+          else if (f(j) >= 0) { f(i) = f(j); map(f(i)) += i }
+          done = true
+        } else if (j == head || f(j) >= 0) {
+          // Action 2: open a new cluster if i is compatible with p.
+          if (sc.speedOk(p, w(i))) { f(i) = HEAD; map(i) = mutable.ArrayBuffer(i) }
+          done = true
+        } else j -= 1 // Action 3: look further back
+      }
+    }
+    map.values.map(_.toSeq).toSeq
+  }
+
+  /** One Algorithm 4 iteration for key point k, built on [[buildClusters]]. */
+  def stepC(out: Array[TimePoint], xs: Array[TimePoint], k: Int, sc: SpeedConstraint): Unit = {
+    var end = k + 1
+    while (end < xs.length && xs(end).t <= xs(k).t + sc.w) end += 1
+    val clusters = buildClusters(out(k - 1), xs.slice(k + 1, end), sc)
+    val p = out(k - 1)
+    if (clusters.nonEmpty) {
+      val rep = xs(k + 1 + clusters.maxBy(_.size).head)
+      if (!(sc.speedOk(p, xs(k)) && sc.speedOk(xs(k), rep))) {
+        val alpha = (xs(k).t - p.t) / (rep.t - p.t)
+        for (l <- out(k).v.indices) out(k).v(l) = alpha * (rep.v(l) - p.v(l)) + p.v(l)
+      }
+    } else if (!sc.speedOk(p, xs(k))) {
+      val d = xs(k).dist(p)
+      val scale = if (d > 0) sc.s * (xs(k).t - p.t) / d else 0.0
+      for (l <- out(k).v.indices) out(k).v(l) = p.v(l) + scale * (xs(k).v(l) - p.v(l))
+    }
+  }
+
+  def cleanC(xs: Array[TimePoint], sc: SpeedConstraint): Array[TimePoint] = {
+    val out = TimePoint.copyOf(xs)
+    for (k <- 1 until xs.length) stepC(out, xs, k, sc)
+    out
+  }
+
+  /** Algorithm 5's state kept as two speed deques, rebucketed and
+    * compared on every point.
+    */
+  final class AdaptiveState(b: Int, tau: Double, m: Int, beta: Double) {
+    private val w1 = ArrayDeque.empty[Double]
+    private val w2 = ArrayDeque.empty[Double]
+
+    def update(p: TimePoint, k: TimePoint, s: Double): Double = {
+      val dt = k.t - p.t
+      if (dt <= 0) return s
+      val s1 = k.dist(p) / dt
+      var out = s
+      if (w1.size < m) w1.append(s1)
+      else if (w2.size < m) w2.append(s1)
+      else {
+        if (MtcscA.kl(MtcscA.distribution(w1, b, s), MtcscA.distribution(w2, b, s)) > tau)
+          out = SpeedConstraint.quantile(w2.toArray, 0.95) / beta
+        w1.append(w2.removeHead()); w1.removeHead()
+        w2.append(s1)
+      }
+      out
+    }
+  }
+
+  /** MTCSC-A on the reference state and step; also returns how many
+    * times `s` changed.
+    */
+  def cleanA(xs: Array[TimePoint], a: MtcscA): (Array[TimePoint], Int) = {
+    val out = TimePoint.copyOf(xs)
+    val state = new AdaptiveState(a.b, a.tau, a.m, a.beta)
+    var s = a.initial.s
+    var changes = 0
+    for (k <- 1 until xs.length) {
+      val s2 = state.update(xs(k - 1), xs(k), s)
+      if (s2 != s) changes += 1
+      s = s2
+      stepC(out, xs, k, SpeedConstraint(s, a.initial.w))
+    }
+    (out, changes)
+  }
+
+  /** MTCSC-Uni as reference MTCSC-C on one univariate series per dimension. */
+  def cleanUni(xs: Array[TimePoint], scs: Array[SpeedConstraint]): Array[TimePoint] = {
+    val out = TimePoint.copyOf(xs)
+    for (l <- scs.indices) {
+      val cleaned = cleanC(xs.map(p => TimePoint.uni(p.t, p.v(l))), scs(l))
+      for (i <- xs.indices) out(i).v(l) = cleaned(i).v(0)
+    }
+    out
+  }
+}
