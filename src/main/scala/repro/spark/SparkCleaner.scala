@@ -4,20 +4,65 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{Cleaner, SeriesRow, TimePoint}
 
-/** Batch Spark execution of the cleaners: a windowed DataFrame job
-  * computing the speed-constrained correction per partition (= per
-  * logical series). Each series is one group key; rows are sorted by
-  * timestamp inside the group and repaired with any registered
-  * [[Cleaner]]. The sequential per-series algorithms are the paper's —
-  * Spark contributes partition-parallelism across series and the SQL
-  * surface for violation detection and metrics.
+/** Batch Spark execution of the cleaners. A series crosses the
+  * driver/executor boundary as one columnar [[SparkCleaner.Block]], in
+  * both directions: `toDS` ships one block per series and expands it to
+  * [[SeriesRow]]s on the executors, and `collectSeries` packs each
+  * partition's rows back into blocks before collecting. In between, each
+  * series is one group key; its rows are sorted by timestamp inside the
+  * group and repaired with any registered [[Cleaner]]. The sequential
+  * per-series algorithms are the paper's — Spark contributes parallelism
+  * across series and the SQL surface for violation detection and metrics.
   */
 object SparkCleaner {
 
-  /** Lift in-memory series into a Dataset[SeriesRow]. */
+  /** One run of a series' points: timestamps `t` and the values as a flat
+    * row-major n×D array `v`, so D = `v.length / t.length`.
+    */
+  private[spark] final case class Block(seriesId: Long, t: Array[Double], v: Array[Double]) {
+    def points: Array[TimePoint] = {
+      val d = if (t.isEmpty) 0 else v.length / t.length
+      Array.tabulate(t.length)(i => TimePoint(t(i), v.slice(i * d, i * d + d)))
+    }
+  }
+
+  private[spark] object Block {
+    /** The block of a whole series. A flat `v` needs one D for every point,
+      * so a series whose points disagree on D is rejected here.
+      */
+    def of(seriesId: Long, pts: Array[TimePoint]): Block = {
+      val d = if (pts.isEmpty) 0 else pts(0).dim
+      val i = pts.indexWhere(_.dim != d)
+      if (i >= 0) throw new IllegalArgumentException(
+        s"series $seriesId, point $i (t = ${pts(i).t}): has ${pts(i).dim} dimensions, point 0 has $d")
+      Block(seriesId, pts.map(_.t), pts.flatMap(_.v))
+    }
+
+    /** Packs each run of contiguous rows with one key and one D into a block. */
+    def pack(rows: Iterator[SeriesRow]): Iterator[Block] = {
+      val in = rows.buffered
+      Iterator.continually(in).takeWhile(_.hasNext).map { _ =>
+        val first = in.head
+        val t = Array.newBuilder[Double]
+        val v = Array.newBuilder[Double]
+        while (in.hasNext && in.head.seriesId == first.seriesId && in.head.dims.length == first.dims.length) {
+          val r = in.next()
+          t += r.t
+          v ++= r.dims
+        }
+        Block(first.seriesId, t.result(), v.result())
+      }
+    }
+  }
+
+  /** Lift in-memory series into a Dataset[SeriesRow]: one block per series
+    * on the driver, expanded to rows on the executors. A zero-length series
+    * yields no rows.
+    */
   def toDS(spark: SparkSession, series: Seq[(Long, Array[TimePoint])]): Dataset[SeriesRow] = {
     import spark.implicits._
-    series.flatMap { case (id, pts) => SeriesRow.fromPoints(id, pts) }.toDS()
+    series.map { case (id, pts) => Block.of(id, pts) }.toDS()
+      .flatMap(b => SeriesRow.fromPoints(b.seriesId, b.points))
   }
 
   /** Clean every series with `cleaner`, one group per seriesId. */
@@ -29,11 +74,15 @@ object SparkCleaner {
     }
   }
 
-  /** Collect a cleaned Dataset back to per-series point arrays. */
-  def collectSeries(ds: Dataset[SeriesRow]): Map[Long, Array[TimePoint]] =
-    ds.collect().groupBy(_.seriesId).map { case (id, rows) =>
-      id -> SeriesRow.toPoints(rows.toSeq)
+  /** Collect a Dataset back to per-series point arrays: each key's points
+    * in collect order, stably sorted by `t`.
+    */
+  def collectSeries(ds: Dataset[SeriesRow]): Map[Long, Array[TimePoint]] = {
+    import ds.sparkSession.implicits._
+    ds.mapPartitions(Block.pack).collect().groupBy(_.seriesId).map { case (id, blocks) =>
+      id -> blocks.flatMap(_.points).sortBy(_.t)
     }
+  }
 
   /** Flatten to one column per dimension (series_id, t, v0..v{D-1}) —
     * the SQL-facing shape shared with the DuckDB oracle.
@@ -69,7 +118,10 @@ object SparkCleaner {
   def violations(flat: DataFrame, dims: Int, s: Double): DataFrame = {
     val view = s"ts_viol_${System.nanoTime()}"
     flat.createOrReplaceTempView(view)
-    flat.sparkSession.sql(violationSql(view, dims, s))
+    // `sql` analyses eagerly and inlines the view's plan, so the view is
+    // not needed once it returns.
+    try flat.sparkSession.sql(violationSql(view, dims, s))
+    finally flat.sparkSession.catalog.dropTempView(view)
   }
 
   /** SQL computing RMSE between a repaired and a truth table (joined on

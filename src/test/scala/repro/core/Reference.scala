@@ -1,12 +1,14 @@
 package repro.core
 
+import org.apache.spark.sql.Dataset
 import scala.collection.mutable
 import scala.collection.mutable.ArrayDeque
 
 /** Readable reference versions of the MTCSC kernels: the paper's
   * algorithms written down directly, kept as test oracles for the pruned
   * and array-backed kernels in `repro.core`, which must reproduce them
-  * bit for bit.
+  * bit for bit. The row-wise collect is the oracle for the block packing
+  * in `SparkCleaner.collectSeries`.
   */
 object Reference {
 
@@ -143,4 +145,12 @@ object Reference {
     }
     out
   }
+
+  /** Every row to the driver, grouped by key in collect order, each key's
+    * rows stably sorted by `t`.
+    */
+  def collectSeries(ds: Dataset[SeriesRow]): Map[Long, Array[TimePoint]] =
+    ds.collect().groupBy(_.seriesId).map { case (id, rows) =>
+      id -> SeriesRow.toPoints(rows.toSeq)
+    }
 }

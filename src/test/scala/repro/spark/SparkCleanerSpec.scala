@@ -1,5 +1,8 @@
 package repro.spark
 
+import org.apache.spark.sql.Encoders
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core._
 import repro.data.{ErrorInjector, TimeSeriesGen}
@@ -10,6 +13,35 @@ class SparkCleanerSpec extends SparkSpec {
   private lazy val gps = TimeSeriesGen.gpsWalk(400, seed = 3)
   private val sc2 = SpeedConstraint(2.5, 10.0)
 
+  /** Same length, and every timestamp and value equal bit for bit. */
+  private def assertBits(got: Array[TimePoint], want: Array[TimePoint], clue: Any): Unit = {
+    assert(got.length == want.length, clue)
+    def bits(xs: Array[TimePoint]) =
+      xs.map(p => (java.lang.Double.doubleToLongBits(p.t), p.v.map(java.lang.Double.doubleToLongBits).toSeq)).toSeq
+    assert(bits(got) == bits(want), clue)
+  }
+
+  private def assertSameMaps(got: Map[Long, Array[TimePoint]], want: Map[Long, Array[TimePoint]]): Unit = {
+    assert(got.keySet == want.keySet)
+    for (id <- want.keys) assertBits(got(id), want(id), s"series $id")
+  }
+
+  /** A random walk in D dimensions with 10% outliers, sampled at gaps of
+    * 0.25-2 time units; one gap in ten is 0, a duplicate timestamp.
+    */
+  private def walk(n: Int, d: Int, seed: Long): Array[TimePoint] = {
+    val r = new java.util.Random(seed)
+    var t = 0.0
+    val x = new Array[Double](d)
+    Array.fill(n) {
+      if (r.nextDouble() >= 0.1) t += 0.25 + 1.75 * r.nextDouble()
+      for (l <- 0 until d) x(l) += r.nextGaussian()
+      val v = x.clone()
+      if (r.nextDouble() < 0.1) for (l <- 0 until d) v(l) += (r.nextDouble() - 0.5) * 50
+      TimePoint(t, v)
+    }
+  }
+
   test("distributed clean equals sequential clean per series") {
     val seriesA = TimeSeriesGen.gpsWalk(300, seed = 1).dirty
     val seriesB = TimeSeriesGen.gpsWalk(300, seed = 2).dirty
@@ -17,8 +49,8 @@ class SparkCleanerSpec extends SparkSpec {
     val out = SparkCleaner.collectSeries(SparkCleaner.clean(ds, MtcscC(sc2)))
     val seqA = MtcscC(sc2).clean(seriesA)
     val seqB = MtcscC(sc2).clean(seriesB)
-    assert(out(0L).indices.forall(i => out(0L)(i).sameValues(seqA(i), 1e-9)))
-    assert(out(1L).indices.forall(i => out(1L)(i).sameValues(seqB(i), 1e-9)))
+    assertBits(out(0L), seqA, "series 0")
+    assertBits(out(1L), seqB, "series 1")
   }
 
   test("distributed clean with MTCSC-G equals sequential") {
@@ -28,7 +60,56 @@ class SparkCleanerSpec extends SparkSpec {
     val ds = SparkCleaner.toDS(spark, Seq(7L -> dirty))
     val out = SparkCleaner.collectSeries(SparkCleaner.clean(ds, MtcscG(sc)))(7L)
     val seqOut = MtcscG(sc).clean(dirty)
-    assert(out.indices.forall(i => out(i).sameValues(seqOut(i), 1e-9)))
+    assertBits(out, seqOut, "series 7")
+  }
+
+  test("Spark clean is bit-identical to the kernel for G, L, C, A and Uni") {
+    val sc = SpeedConstraint(1.5, 5.0)
+    for (d <- 1 to 3) {
+      // Twelve short keys, one 25 times longer, and a zero-length key: a
+      // series with no points has no rows, so it is absent from the output.
+      val series = (0L -> walk(1500, d, seed = d)) +: (1L -> Array.empty[TimePoint]) +:
+        (2L until 14L).map(id => id -> walk(60, d, seed = 100 * d + id))
+      val ds = SparkCleaner.toDS(spark, series)
+      val cleaners = Seq(MtcscG(sc), MtcscL(sc), MtcscC(sc), MtcscA(sc, m = 20),
+        MtcscUni(Array.fill(d)(sc)))
+      for (cleaner <- cleaners) {
+        val out = SparkCleaner.collectSeries(SparkCleaner.clean(ds, cleaner))
+        assert(out.keySet == series.map(_._1).toSet - 1L, s"${cleaner.name} D=$d")
+        for ((id, pts) <- series if pts.nonEmpty)
+          assertBits(out(id), cleaner.clean(pts), s"${cleaner.name} D=$d series $id")
+      }
+    }
+  }
+
+  test("toDS rejects a series whose points disagree on D, naming the series and point") {
+    val good = walk(10, 2, seed = 1)
+    val bad = walk(10, 2, seed = 2).updated(6, TimePoint(100.0, Array(1.0, 2.0, 3.0)))
+    val e = intercept[IllegalArgumentException](SparkCleaner.toDS(spark, Seq(3L -> good, 5L -> bad)))
+    assert(e.getMessage.startsWith("series 5, point 6 (t = 100.0): has 3 dimensions, point 0 has 2"), e.getMessage)
+  }
+
+  test("toDS ships one driver row per series, not one per point") {
+    val series = (0 until 4).map(i => i.toLong -> TimeSeriesGen.stock(500, seed = i))
+    val plan = SparkCleaner.toDS(spark, series).queryExecution.optimizedPlan
+    assert(plan.collect { case r: LocalRelation => r.data.length } == Seq(4))
+  }
+
+  test("collectSeries equals the row-wise collect when rows are scattered and out of order") {
+    // Duplicate timestamps with distinct values, so the order of equal
+    // timestamps in the output shows too.
+    val series = (0L until 6L).map(id => id -> walk(300, 1 + (id % 3).toInt, seed = id))
+    val ds = SparkCleaner.toDS(spark, series)
+    val secondFirst = SparkCleaner.toDS(spark, series.map { case (id, pts) => id -> pts.drop(150) })
+      .union(SparkCleaner.toDS(spark, series.map { case (id, pts) => id -> pts.take(150) }))
+    val scattered = ds.repartition(5, col("t")).cache()
+    // Rows from outside toDS may disagree on D within a key.
+    val mixedD = spark.createDataset(Seq(SeriesRow(9L, 2.0, Seq(1.0)), SeriesRow(9L, 1.0, Seq(1.0, 2.0)),
+      SeriesRow(9L, 1.0, Seq(3.0)), SeriesRow(8L, 0.0, Seq(4.0))))(Encoders.product[SeriesRow]).coalesce(1)
+    for (rows <- Seq(ds, secondFirst, scattered, mixedD))
+      assertSameMaps(SparkCleaner.collectSeries(rows), Reference.collectSeries(rows))
+    assert(scattered.rdd.getNumPartitions == 5)
+    scattered.unpersist()
   }
 
   test("many series are cleaned independently and all keys survive") {
@@ -51,6 +132,13 @@ class SparkCleanerSpec extends SparkSpec {
     val flat = SparkCleaner.toFlatDF(ds, dims = 2).cache()
     val sparkDf = SparkCleaner.violations(flat, dims = 2, s = 2.5)
     Oracle.assertEquivalent(sparkDf, SparkCleaner.violationSql("ts", 2, 2.5), "ts" -> flat)
+  }
+
+  test("violations leaves no temporary view behind") {
+    val flat = SparkCleaner.toFlatDF(SparkCleaner.toDS(spark, Seq(0L -> gps.dirty.take(50))), dims = 2)
+    val counts = (1 to 3).map(_ => SparkCleaner.violations(flat, 2, 2.5).count())
+    assert(counts.forall(_ == 49))
+    assert(!spark.catalog.listTables().collect().exists(_.name.startsWith("ts_viol_")))
   }
 
   test("violation flags match the in-memory speed test") {
