@@ -13,16 +13,10 @@ class MultivariateBench extends AnyFunSuite {
 
   private val seeds = Seq(1L, 2L)
 
-  private def zoo(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] = Seq(
-    MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscUni(cfg.uniScs),
-    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)),
-    LsGreedy(), Ewma(), Rcsws(), Htd.captureFromTruth(truth, cfg.sc.w),
-    HoloCleanLite(cfg.uniScs), TranAdLite(), CaeMLite())
-
   test("Figures 8/9 shape: ILD error-rate sweep, together vs separate") {
     val truth = TimeSeriesGen.ild(20000)
     for (pattern <- Seq(ErrorInjector.Together, ErrorInjector.Separate)) {
-      val sweep = Experiments.errorRateSweep(truth, Seq(0.05, 0.10, 0.20), pattern, seeds, zoo)
+      val sweep = Experiments.errorRateSweep(truth, Seq(0.05, 0.10, 0.20), pattern, seeds, Harness.methods)
       println(Experiments.formatSweep(s"ILD error-rate sweep ($pattern)", "e", sweep))
       for (row <- sweep) {
         val by = row.rows.map(r => r.method -> r).toMap
@@ -59,7 +53,7 @@ class MultivariateBench extends AnyFunSuite {
   test("Figures 10/11 shape: ILD data-size sweep, both patterns") {
     for (pattern <- Seq(ErrorInjector.Together, ErrorInjector.Separate)) {
       val sweep = Experiments.dataSizeSweep(TimeSeriesGen.ild(_), Seq(5000, 10000, 20000),
-        0.10, pattern, seeds, zoo)
+        0.10, pattern, seeds, Harness.methods)
       println(Experiments.formatSweep(s"ILD data-size sweep ($pattern)", "n", sweep))
       for (row <- sweep) {
         val by = row.rows.map(r => r.method -> r).toMap

@@ -1,7 +1,5 @@
 package repro.jobs
 
-import repro.baselines._
-import repro.core._
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.{Experiments, Harness}
 
@@ -13,27 +11,21 @@ import repro.eval.{Experiments, Harness}
   */
 object SweepJob {
 
-  private def zoo(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] = Seq(
-    MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscUni(cfg.uniScs),
-    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)),
-    LsGreedy(), Ewma(), Htd.captureFromTruth(truth, cfg.sc.w),
-    HoloCleanLite(cfg.uniScs), TranAdLite(), CaeMLite())
-
   def main(args: Array[String]): Unit = {
     val seeds = Seq(1L, 2L, 3L)
     val rates = Seq(0.05, 0.10, 0.15, 0.20, 0.25)
     args.headOption.getOrElse("stock-rate") match {
       case "stock-rate" =>
         val s = Experiments.errorRateSweep(TimeSeriesGen.stock(12000), rates,
-          ErrorInjector.Together, seeds, zoo)
+          ErrorInjector.Together, seeds, Harness.methods)
         println(Experiments.formatSweep("Stock: varying error rate", "e", s))
       case "ild-rate" =>
         val s = Experiments.errorRateSweep(TimeSeriesGen.ild(43000), rates,
-          ErrorInjector.Together, seeds, zoo)
+          ErrorInjector.Together, seeds, Harness.methods)
         println(Experiments.formatSweep("ILD: varying error rate (together)", "e", s))
       case "ild-size" =>
         val s = Experiments.dataSizeSweep(TimeSeriesGen.ild(_), Seq(5000, 10000, 20000, 43000),
-          0.10, ErrorInjector.Together, seeds, zoo)
+          0.10, ErrorInjector.Together, seeds, Harness.methods)
         println(Experiments.formatSweep("ILD: varying data size", "n", s))
       case "ecg-dim" =>
         val s = Experiments.dimensionSweep(6000, Seq(4, 8, 16, 32), 0.10, seeds)

@@ -24,14 +24,15 @@ object PerDim {
   }
 
   /** Per-dimension speed constraints captured at the 95th percentile of
-    * absolute consecutive univariate speeds — how the paper's univariate
-    * competitors obtain their constraints from data.
+    * absolute consecutive univariate speeds, widened by `slack` — how the
+    * paper's univariate competitors obtain their constraints from data.
     */
-  def captureSpeeds(xs: Array[TimePoint], w: Double, percentile: Double = 0.95): Array[SpeedConstraint] = {
+  def captureSpeeds(xs: Array[TimePoint], w: Double, percentile: Double = 0.95,
+                    slack: Double = 1.0): Array[SpeedConstraint] = {
     val d = xs(0).dim
     Array.tabulate(d) { l =>
       val uni = xs.map(p => TimePoint.uni(p.t, p.v(l)))
-      SpeedConstraint.capture(uni, w, percentile)
+      SpeedConstraint.capture(uni, w, percentile, slack)
     }
   }
 

@@ -14,28 +14,36 @@ final case class MtcscL(sc: SpeedConstraint) extends Cleaner {
 
   override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
     val out = TimePoint.checkedCopyOf(xs)
-    val n = xs.length
     var k = 1
-    while (k < n) {
-      if (!sc.speedOk(xs(k), out(k - 1))) {
-        var i = k + 1
-        var done = false
-        while (i < n && !done) {
-          if (xs(i).t > xs(k).t + sc.w) {
-            Array.copy(out(k - 1).v, 0, out(k).v, 0, out(k).v.length)
-            done = true
-          } else if (sc.speedOk(xs(i), out(k - 1))) {
-            interpolate(out(k), out(k - 1), xs(i))
-            done = true
-          } else i += 1
-        }
-        // Ran off the end of the series without a compatible successor:
-        // fall back to the previous repair (same as window exhaustion).
-        if (!done) Array.copy(out(k - 1).v, 0, out(k).v, 0, out(k).v.length)
-      }
+    while (k < xs.length) {
+      MtcscL.step(out, xs, k, xs.length, sc, closed = true)
       k += 1
     }
     out
+  }
+}
+
+object MtcscL {
+
+  /** The per-point decision, shared by the batch kernel and the streaming
+    * operator: repairs `out(k)` (a copy of `xs(k)`) from the previous
+    * repair `out(k-1)` and the raw successors `xs[k+1, n)`. A scan that
+    * runs off `n` falls back to the previous repair when `closed`;
+    * otherwise a compatible successor may still arrive inside the window,
+    * so `out(k)` is left as is and the result is false.
+    */
+  def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int,
+           sc: SpeedConstraint, closed: Boolean): Boolean = {
+    val p = out(k - 1)
+    if (sc.speedOk(xs(k), p)) true
+    else {
+      val last = xs(k).t + sc.w
+      var i = k + 1
+      while (i < n && xs(i).t <= last && !sc.speedOk(xs(i), p)) i += 1
+      if (i < n && xs(i).t <= last) { interpolate(out(k), p, xs(i)); true }
+      else if (i < n || closed) { Array.copy(p.v, 0, out(k).v, 0, p.v.length); true }
+      else false
+    }
   }
 
   /** x'_k = alpha * (x_m - x'_p) + x'_p with alpha = (tk-tp)/(tm-tp). */

@@ -54,12 +54,14 @@ object SpeedConstraint {
   val Eps: Double = 1e-9
 
   /** Capture `s` from data as the p-th percentile of consecutive-pair
-    * Euclidean speeds — the paper's "95% confidence level" heuristic [23].
+    * Euclidean speeds — the paper's "95% confidence level" heuristic [23]
+    * — widened by a `slack` factor.
     */
-  def capture(xs: Array[TimePoint], w: Double, percentile: Double = 0.95): SpeedConstraint = {
+  def capture(xs: Array[TimePoint], w: Double, percentile: Double = 0.95,
+              slack: Double = 1.0): SpeedConstraint = {
     val speeds = consecutiveSpeeds(xs)
     require(speeds.nonEmpty, "need at least two points to capture a speed constraint")
-    SpeedConstraint(math.max(quantile(speeds, percentile), 1e-9), w)
+    SpeedConstraint(math.max(quantile(speeds, percentile) * slack, 1e-9), w)
   }
 
   /** Euclidean speeds between consecutive observations. */

@@ -27,7 +27,6 @@ object Harness {
   final case class Config(
       sc: SpeedConstraint,                 // multivariate constraint (MTCSC-*)
       uniScs: Array[SpeedConstraint],      // per-dimension constraints (univariate methods)
-      adaptive: Option[MtcscA] = None,     // preconfigured MTCSC-A if wanted
   )
 
   /** Expert-style constraint capture: percentile of the reference
@@ -36,40 +35,18 @@ object Harness {
     * dirty-data capture is fragile).
     */
   def configFrom(reference: Array[TimePoint], w: Double,
-                 percentile: Double = 0.99, slack: Double = 1.15): Config = {
-    val s = SpeedConstraint.quantile(SpeedConstraint.consecutiveSpeeds(reference), percentile) * slack
-    val sc = SpeedConstraint(math.max(s, 1e-9), w)
-    val d = reference(0).dim
-    val uniScs = Array.tabulate(d) { l =>
-      val uni = reference.map(p => TimePoint.uni(p.t, p.v(l)))
-      val su = SpeedConstraint.quantile(SpeedConstraint.consecutiveSpeeds(uni), percentile) * slack
-      SpeedConstraint(math.max(su, 1e-9), w)
-    }
-    Config(sc, uniScs)
-  }
+                 percentile: Double = 0.99, slack: Double = 1.15): Config =
+    Config(SpeedConstraint.capture(reference, w, percentile, slack),
+      PerDim.captureSpeeds(reference, w, percentile, slack))
 
   /** The standard method zoo for a comparison table. `truth` is needed
     * only by HTD's labelled capture.
     */
-  def methods(cfg: Config, truth: Array[TimePoint], includeG: Boolean = true,
-              includeAdaptive: Boolean = false): Seq[Cleaner] = {
-    val base = Seq.newBuilder[Cleaner]
-    if (includeG) base += MtcscG(cfg.sc)
-    base += MtcscL(cfg.sc)
-    base += MtcscC(cfg.sc)
-    if (includeAdaptive) base += cfg.adaptive.getOrElse(MtcscA(cfg.sc))
-    base += MtcscUni(cfg.uniScs)
-    base += Screen(cfg.uniScs)
-    base += SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)) // symmetric accel cap
-    base += LsGreedy()
-    base += Ewma()
-    base += Rcsws()
-    base += Htd.captureFromTruth(truth, cfg.sc.w)
-    base += HoloCleanLite(cfg.uniScs)
-    base += TranAdLite()
-    base += CaeMLite()
-    base.result()
-  }
+  def methods(cfg: Config, truth: Array[TimePoint]): Seq[Cleaner] = Seq(
+    MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscUni(cfg.uniScs),
+    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)), // symmetric accel cap
+    LsGreedy(), Ewma(), Rcsws(), Htd.captureFromTruth(truth, cfg.sc.w),
+    HoloCleanLite(cfg.uniScs), TranAdLite(), CaeMLite())
 
   /** Clean one series with one method through the Spark path and score it. */
   def run(spark: SparkSession, cleaner: Cleaner,

@@ -2,26 +2,28 @@ package repro.spark
 
 import org.apache.spark.sql.{Dataset, Encoders}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{SeriesRow, SpeedConstraint, TimePoint}
+import repro.core.{MtcscL, SeriesRow, SpeedConstraint, TimePoint}
+import repro.spark.SparkCleaner.Block
 
 /** Structured Streaming execution of MTCSC-L (Algorithm 2): a stateful
   * per-series operator that emits each point's repair as soon as it is
   * decidable — when a compatible successor arrives, or a successor
-  * falls beyond the window (then the previous repair is reused).
+  * falls beyond the window (then the previous repair is reused). Every
+  * decision is [[repro.core.MtcscL.step]], so the emitted repairs are the
+  * batch MTCSC-L output bit for bit, under any chunking.
   *
-  * State per series: the last repaired point plus the buffer of
-  * arrived-but-undecided points (bounded by the window size). Points are
-  * assumed to arrive in timestamp order (the paper's assumption,
-  * Section 5.6 limitation 1). The emitted repairs are exactly the batch
-  * MTCSC-L output replayed online — tested against [[repro.core.MtcscL]].
+  * State per series: one [[SparkCleaner.Block]] whose row 0 is the last
+  * repaired point and whose other rows are the arrived-but-undecided
+  * points (bounded by the window size). Points must arrive in timestamp
+  * order (the paper's assumption, Section 5.6 limitation 1): a point
+  * earlier than the last held one, a non-finite value or a change of D
+  * fails with the kernel's IllegalArgumentException.
   */
 object StreamingCleaner {
 
-  /** Streaming operator state (encoded with a product encoder). */
-  final case class LState(prev: Option[SeriesRow], pending: Seq[SeriesRow])
-
-  /** Decide as many pending points as possible; pure so the batch path,
-    * the streaming path, and tests share the exact semantics.
+  /** Decide as many pending points as possible; pure so the streaming
+    * operator and tests share the exact semantics. `prev0 +: pending0`
+    * must meet the kernels' input contract ([[TimePoint.checkedCopyOf]]).
     *
     * @return (emitted repairs, new prev, remaining pending)
     */
@@ -31,63 +33,28 @@ object StreamingCleaner {
       pending0: Vector[TimePoint],
       endOfStream: Boolean,
   ): (Vector[TimePoint], Option[TimePoint], Vector[TimePoint]) = {
-    var prev = prev0
-    var pending = pending0
-    val emitted = Vector.newBuilder[TimePoint]
-    var progress = true
-    while (progress && pending.nonEmpty) {
-      val h = pending.head
-      prev match {
-        case None =>
-          emitted += h; prev = Some(h); pending = pending.tail
-        case Some(p) =>
-          if (sc.speedOk(h, p)) {
-            emitted += h; prev = Some(h); pending = pending.tail
-          } else {
-            val rest = pending.tail
-            val within = rest.takeWhile(_.t <= h.t + sc.w)
-            within.find(q => sc.speedOk(q, p)) match {
-              case Some(q) =>
-                val alpha = (h.t - p.t) / (q.t - p.t)
-                val v = Array.tabulate(h.dim)(l => alpha * (q.v(l) - p.v(l)) + p.v(l))
-                val repaired = TimePoint(h.t, v)
-                emitted += repaired; prev = Some(repaired); pending = rest
-              case None =>
-                val windowClosed = rest.length > within.length || endOfStream
-                if (windowClosed) {
-                  val repaired = TimePoint(h.t, p.v.clone())
-                  emitted += repaired; prev = Some(repaired); pending = rest
-                } else progress = false // wait for more data
-            }
-          }
-      }
-    }
-    (emitted.result(), prev, pending)
+    val xs = (prev0 ++: pending0).toArray
+    val out = TimePoint.checkedCopyOf(xs)
+    var k = 1
+    while (k < xs.length && MtcscL.step(out, xs, k, xs.length, sc, closed = endOfStream)) k += 1
+    val held = if (prev0.isDefined) 1 else 0
+    (out.slice(held, k).toVector, out.lift(k - 1), pending0.drop(k - held))
   }
-
-  private def toPoint(r: SeriesRow): TimePoint = TimePoint(r.t, r.dims.toArray)
 
   /** Wire [[advance]] into flatMapGroupsWithState. */
   def clean(ds: Dataset[SeriesRow], sc: SpeedConstraint): Dataset[SeriesRow] = {
     implicit val rowEnc = Encoders.product[SeriesRow]
-    implicit val stateEnc = Encoders.product[LState]
+    implicit val stateEnc = Encoders.product[Block]
     import ds.sparkSession.implicits._
     ds.groupByKey(_.seriesId)
       .flatMapGroupsWithState(OutputMode.Append(), GroupStateTimeout.NoTimeout)(
-        (id: Long, rows: Iterator[SeriesRow], state: GroupState[LState]) => {
-          val st = state.getOption.getOrElse(LState(None, Seq.empty))
-          val arrived = rows.toSeq.sortBy(_.t).map(toPoint)
-          val (emitted, prev, pending) = advance(
-            sc,
-            st.prev.map(toPoint),
-            st.pending.map(toPoint).toVector ++ arrived,
-            endOfStream = false,
-          )
-          state.update(LState(
-            prev.map(p => SeriesRow(id, p.t, p.v.toSeq)),
-            pending.map(p => SeriesRow(id, p.t, p.v.toSeq)),
-          ))
-          emitted.iterator.map(p => SeriesRow(id, p.t, p.v.toSeq))
+        (id: Long, rows: Iterator[SeriesRow], state: GroupState[Block]) => {
+          val held = state.getOption.fold(Array.empty[TimePoint])(_.points)
+          val arrived = SeriesRow.toPoints(rows.toSeq)
+          val (emitted, prev, pending) =
+            advance(sc, held.headOption, held.drop(1).toVector ++ arrived, endOfStream = false)
+          state.update(Block.of(id, (prev ++: pending).toArray))
+          SeriesRow.fromPoints(id, emitted.toArray).iterator
         }
       )
   }

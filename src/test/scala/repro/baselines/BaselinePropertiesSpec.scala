@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{SpeedConstraint, TimePoint}
+import repro.core.{MtcscL, SpeedConstraint, TimePoint}
 import repro.spark.StreamingCleaner
 
 /** Property-style checks for the baselines and the streaming decision
@@ -77,13 +77,15 @@ class BaselinePropertiesSpec extends AnyFunSuite {
       n <- Gen.choose(2, 60)
       d <- Gen.choose(1, 3)
       vals <- Gen.listOfN(n * d, Gen.choose(-10.0, 10.0))
+      gaps <- Gen.listOfN(n, Gen.frequency(1 -> Gen.const(0.0), 9 -> Gen.const(1.0))) // 10% duplicates
       s <- Gen.choose(0.5, 4.0)
       w <- Gen.choose(1, 6)
       chunk <- Gen.choose(1, 12)
-    } yield (vals.grouped(d).zipWithIndex.map { case (v, i) =>
-      TimePoint(i.toDouble, v.toArray)
+    } yield (vals.grouped(d).zip(gaps.scanLeft(0.0)(_ + _)).map { case (v, t) =>
+      TimePoint(t, v.toArray)
     }.toVector, SpeedConstraint(s, w.toDouble), chunk)
-    forAllSampled(gen, 60) { case (pts, sc, chunk) =>
+    def bits(ps: Seq[TimePoint]) = ps.map(p => (p.t +: p.v.toSeq).map(java.lang.Double.doubleToLongBits))
+    forAllSampled(gen, 1000) { case (pts, sc, chunk) =>
       val whole = StreamingCleaner.advance(sc, None, pts, endOfStream = true)._1
       var prev: Option[TimePoint] = None
       var pending = Vector.empty[TimePoint]
@@ -94,8 +96,8 @@ class BaselinePropertiesSpec extends AnyFunSuite {
       }
       emitted ++= StreamingCleaner.advance(sc, prev, pending, endOfStream = true)._1
       val all = emitted.result()
-      assert(all.length == whole.length)
-      all.indices.foreach(i => assert(all(i).sameValues(whole(i), 1e-9), s"point $i"))
+      assert(bits(all) == bits(whole))
+      assert(bits(all) == bits(MtcscL(sc).clean(pts.toArray).toSeq))
     }
   }
 }

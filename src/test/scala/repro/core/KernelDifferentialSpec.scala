@@ -7,11 +7,12 @@ import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.Harness
 import scala.util.{Failure, Success, Try}
 
-/** Differential checks: the pruned MTCSC-G DP and the array-backed
-  * MTCSC-C / A / Uni kernels against the readable [[Reference]] versions,
-  * requiring the identical FixList and bit-identical repairs. Inputs are
-  * random walks with D in {1, 2, 3, 8}, error rates up to 90%, duplicate
-  * timestamps and windows from below one sampling step to many.
+/** Differential checks: the pruned MTCSC-G DP, MTCSC-L's shared step and
+  * the array-backed MTCSC-C / A / Uni kernels against the readable
+  * [[Reference]] versions, requiring the identical FixList and
+  * bit-identical repairs. Inputs are random walks with D in {1, 2, 3, 8},
+  * error rates up to 90%, duplicate timestamps and windows from below one
+  * sampling step to many.
   */
 class KernelDifferentialSpec extends AnyFunSuite {
 
@@ -74,6 +75,12 @@ class KernelDifferentialSpec extends AnyFunSuite {
     }
   }
 
+  test("MTCSC-L repairs are bit-identical to the reference loop") {
+    forAllSampled(caseGen, 500) { c =>
+      assertSame(MtcscL(c.sc).clean(c.xs), Reference.cleanL(c.xs, c.sc), c)
+    }
+  }
+
   test("array-backed BuildCluster picks the reference's largest-cluster head") {
     val scratch = new MtcscC.Scratch // shared across windows of every length
     forAllSampled(caseGen, 300) { c =>
@@ -130,6 +137,7 @@ class KernelDifferentialSpec extends AnyFunSuite {
     for (rate <- Seq(0.1, 0.5)) {
       val dirty = ErrorInjector.inject(truth, rate, ErrorInjector.Together, seed = 6)
       assert(MtcscG.fixList(dirty, cfg.sc).toSeq == Reference.fixList(dirty, cfg.sc).toSeq)
+      assertSame(MtcscL(cfg.sc).clean(dirty), Reference.cleanL(dirty, cfg.sc), s"L $rate")
       assertSame(MtcscC(cfg.sc).clean(dirty), Reference.cleanC(dirty, cfg.sc), s"C $rate")
       val a = MtcscA(cfg.sc, m = 30, tau = 0.25)
       assertSame(a.clean(dirty), Reference.cleanA(dirty, a)._1, s"A $rate")

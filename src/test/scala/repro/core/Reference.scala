@@ -5,10 +5,10 @@ import scala.collection.mutable
 import scala.collection.mutable.ArrayDeque
 
 /** Readable reference versions of the MTCSC kernels: the paper's
-  * algorithms written down directly, kept as test oracles for the pruned
-  * and array-backed kernels in `repro.core`, which must reproduce them
-  * bit for bit. The row-wise collect is the oracle for the block packing
-  * in `SparkCleaner.collectSeries`.
+  * algorithms written down directly, kept as test oracles for the pruned,
+  * array-backed and step-wise kernels in `repro.core`, which must
+  * reproduce them bit for bit. The row-wise collect is the oracle for the
+  * block packing in `SparkCleaner.collectSeries`.
   */
 object Reference {
 
@@ -33,6 +33,38 @@ object Reference {
     var k = endIdx
     while (k >= 0) { clean(k) = true; k = pre(k) }
     (0 until n).filterNot(clean).toArray
+  }
+
+  /** Algorithm 2 as one loop over the series: keep a point compatible
+    * with the previous repair, else interpolate toward the first
+    * compatible successor inside the window (formula (6)), else reuse the
+    * previous repair.
+    */
+  def cleanL(xs: Array[TimePoint], sc: SpeedConstraint): Array[TimePoint] = {
+    val out = TimePoint.copyOf(xs)
+    val n = xs.length
+    var k = 1
+    while (k < n) {
+      if (!sc.speedOk(xs(k), out(k - 1))) {
+        var i = k + 1
+        var done = false
+        while (i < n && !done) {
+          if (xs(i).t > xs(k).t + sc.w) {
+            Array.copy(out(k - 1).v, 0, out(k).v, 0, out(k).v.length)
+            done = true
+          } else if (sc.speedOk(xs(i), out(k - 1))) {
+            val p = out(k - 1)
+            val alpha = (xs(k).t - p.t) / (xs(i).t - p.t)
+            for (l <- out(k).v.indices) out(k).v(l) = alpha * (xs(i).v(l) - p.v(l)) + p.v(l)
+            done = true
+          } else i += 1
+        }
+        // Ran off the end of the series: fall back to the previous repair.
+        if (!done) Array.copy(out(k - 1).v, 0, out(k).v, 0, out(k).v.length)
+      }
+      k += 1
+    }
+    out
   }
 
   private final val OMIT = -2

@@ -23,15 +23,11 @@ class HarnessSpec extends AnyFunSuite {
     assert(loose.sc.s > tight.sc.s)
   }
 
-  test("methods builds the full zoo with and without G/adaptive") {
+  test("methods builds the full zoo in table order") {
     val cfg = Harness.configFrom(gps.truth, 10.0)
-    val all = Harness.methods(cfg, gps.truth)
-    assert(all.map(_.name).contains("MTCSC-G"))
-    assert(all.size == 13)
-    val noG = Harness.methods(cfg, gps.truth, includeG = false)
-    assert(!noG.map(_.name).contains("MTCSC-G"))
-    val withA = Harness.methods(cfg, gps.truth, includeAdaptive = true)
-    assert(withA.map(_.name).contains("MTCSC-A"))
+    assert(Harness.methods(cfg, gps.truth).map(_.name) == Seq(
+      "MTCSC-G", "MTCSC-L", "MTCSC-C", "MTCSC-Uni", "SCREEN", "SpeedAcc", "LsGreedy",
+      "EWMA", "RCSWS", "HTD", "HoloClean", "TranAD", "CAE-M"))
   }
 
   test("score computes all four metrics") {

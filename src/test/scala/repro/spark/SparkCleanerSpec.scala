@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.Encoders
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.functions.col
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.Metrics
@@ -167,15 +167,6 @@ class SparkCleanerSpec extends SparkSpec {
       "repaired_tbl" -> repairedFlat, "truth_tbl" -> truthFlat)
     val sqlRmse = sparkDf.collect()(0).getDouble(0)
     assert(math.abs(sqlRmse - Metrics.rmse(repaired, gps.truth)) < 1e-6)
-  }
-
-  test("SynthData.timeSeries exposes the generators as DataFrames") {
-    for (name <- Seq("stock", "ild", "gpswalk")) {
-      val df = SynthData.timeSeries(spark, name, n = 100)
-      assert(df.count() == 100, name)
-      assert(df.columns.toSeq == Seq("seriesId", "t", "dims"), name)
-    }
-    intercept[IllegalArgumentException](SynthData.timeSeries(spark, "nope", 10))
   }
 
   test("cleaning improves RMSE end-to-end through the Spark path") {

@@ -15,6 +15,15 @@ class StreamingCleanerSpec extends SparkSpec {
     TimePoint(5, Array(4.5, 1.0)), TimePoint(6, Array(5.5, 1.0)),
     TimePoint(7, Array(6.4, 1.0)))
 
+  /** Bitwise equality of timestamps and values. */
+  private def sameBits(a: TimePoint, b: TimePoint): Boolean =
+    (a.t +: a.v.toSeq).map(java.lang.Double.doubleToLongBits) ==
+      (b.t +: b.v.toSeq).map(java.lang.Double.doubleToLongBits)
+
+  /** The first IllegalArgumentException in a cause chain, if any. */
+  private def illegalArgument(e: Throwable): Option[Throwable] =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null).find(_.isInstanceOf[IllegalArgumentException])
+
   // ----------------------------------------------- pure advance() logic
 
   test("advance replays batch MTCSC-L exactly at end of stream") {
@@ -23,7 +32,7 @@ class StreamingCleanerSpec extends SparkSpec {
     assert(pending.isEmpty)
     val batch = MtcscL(sc2).clean(example24)
     assert(emitted.length == batch.length)
-    emitted.indices.foreach(i => assert(emitted(i).sameValues(batch(i), 1e-9), s"point $i"))
+    emitted.indices.foreach(i => assert(sameBits(emitted(i), batch(i)), s"point $i"))
   }
 
   test("advance incremental = advance whole, for any chunking") {
@@ -43,7 +52,7 @@ class StreamingCleanerSpec extends SparkSpec {
       assert(rest.isEmpty, s"chunk=$chunk")
       val all = emitted.result()
       assert(all.length == whole.length, s"chunk=$chunk")
-      all.indices.foreach(i => assert(all(i).sameValues(whole(i), 1e-9), s"chunk=$chunk point $i"))
+      all.indices.foreach(i => assert(sameBits(all(i), whole(i)), s"chunk=$chunk point $i"))
     }
   }
 
@@ -64,6 +73,27 @@ class StreamingCleanerSpec extends SparkSpec {
     val (emitted, _, _) = StreamingCleaner.advance(sc2, None, pts, endOfStream = false)
     assert(emitted.length >= 2)
     assert(emitted(1).v(0) == 0.0) // fallback to previous repair
+  }
+
+  test("advance rejects a point earlier than the last held point") {
+    val prev = Some(TimePoint.uni(5, 0.0))
+    val e = intercept[IllegalArgumentException](
+      StreamingCleaner.advance(sc2, prev, Vector(TimePoint.uni(6, 0.5), TimePoint.uni(4, 0.5)), endOfStream = false))
+    assert(e.getMessage == "point 2 (t = 4.0): timestamp decreases from 6.0", e.getMessage)
+    intercept[IllegalArgumentException](
+      StreamingCleaner.advance(sc2, prev, Vector(TimePoint.uni(4.5, 0.0)), endOfStream = false))
+  }
+
+  test("advance rejects a non-finite value") {
+    val e = intercept[IllegalArgumentException](StreamingCleaner.advance(sc2, Some(TimePoint.uni(0, 0.0)),
+      Vector(TimePoint.uni(1, 0.5), TimePoint.uni(2, Double.NaN)), endOfStream = false))
+    assert(e.getMessage == "point 2 (t = 2.0): value NaN in dimension 0 is not finite", e.getMessage)
+  }
+
+  test("advance rejects a change of D") {
+    val e = intercept[IllegalArgumentException](StreamingCleaner.advance(sc2, Some(TimePoint(0, Array(0.0, 0.0))),
+      Vector(TimePoint.uni(1, 0.5)), endOfStream = false))
+    assert(e.getMessage == "point 1 (t = 1.0): has 1 dimensions, point 0 has 2", e.getMessage)
   }
 
   // ------------------------------------------- full Structured Streaming
@@ -87,9 +117,7 @@ class StreamingCleanerSpec extends SparkSpec {
       val batchOut = MtcscL(sc).clean(series)
       assert(got.length == batchOut.length)
       got.indices.foreach { i =>
-        val g = got(i)
-        assert(g.t == batchOut(i).t)
-        g.dims.zip(batchOut(i).v).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
+        assert(sameBits(TimePoint(got(i).t, got(i).dims.toArray), batchOut(i)), s"point $i")
       }
     } finally query.stop()
   }
@@ -111,6 +139,22 @@ class StreamingCleanerSpec extends SparkSpec {
       val got = spark.table("mtcsc_multi").as[SeriesRow].collect().filter(_.t < 1e9)
       assert(got.count(_.seriesId == 0L) == 80)
       assert(got.count(_.seriesId == 1L) == 80)
+    } finally query.stop()
+  }
+
+  test("a late point fails the streaming query with the input-contract error") {
+    import spark.implicits._
+    implicit val sqlCtx = spark.sqlContext
+    val input = MemoryStream[SeriesRow]
+    val query = StreamingCleaner.clean(input.toDS(), sc2)
+      .writeStream.format("memory").queryName("mtcsc_late").outputMode("append").start()
+    try {
+      input.addData(Seq(SeriesRow(0L, 1, Seq(0.0)), SeriesRow(0L, 2, Seq(0.5))))
+      query.processAllAvailable()
+      input.addData(Seq(SeriesRow(0L, 1.5, Seq(0.2))))
+      val e = intercept[org.apache.spark.sql.streaming.StreamingQueryException](query.processAllAvailable())
+      val cause = illegalArgument(e)
+      assert(cause.exists(_.getMessage.contains("timestamp decreases from 2.0")), e)
     } finally query.stop()
   }
 }
