@@ -8,7 +8,8 @@ package repro.core
   * into `b` equal intervals over [0, s] (the last bucket is the overflow
   * (s, inf)); when the KL divergence KL(W1 || W2) exceeds `tau` the data
   * characteristic changed and the constraint is re-captured as the 95th
-  * percentile of W2 divided by `beta`.
+  * percentile of W2 divided by `beta` (at least 1e-9, as in
+  * [[SpeedConstraint.capture]]).
   */
 final case class MtcscA(
     initial: SpeedConstraint,
@@ -118,7 +119,9 @@ object MtcscA {
         divergent = kl(p1, p2) > tau
         stale = false
       }
-      val out = if (divergent) sortedW2(SpeedConstraint.nearestRank(m, 0.95)) / beta else s
+      val out =
+        if (divergent) SpeedConstraint.floorSpeed(sortedW2(SpeedConstraint.nearestRank(m, 0.95)) / beta)
+        else s
       // Slide: W1 drops its oldest speed and takes W2's oldest; W2 takes s1.
       val moving = at(m)
       val left = bucketOf(at(0))

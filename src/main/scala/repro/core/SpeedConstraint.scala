@@ -61,8 +61,14 @@ object SpeedConstraint {
               slack: Double = 1.0): SpeedConstraint = {
     val speeds = consecutiveSpeeds(xs)
     require(speeds.nonEmpty, "need at least two points to capture a speed constraint")
-    SpeedConstraint(math.max(quantile(speeds, percentile) * slack, 1e-9), w)
+    SpeedConstraint(floorSpeed(quantile(speeds, percentile) * slack), w)
   }
+
+  /** A captured `s`, raised to at least 1e-9: speeds captured over a
+    * stretch where nothing moves (a stuck sensor) are all 0, and a
+    * constraint needs a positive `s`.
+    */
+  def floorSpeed(s: Double): Double = math.max(s, 1e-9)
 
   /** Euclidean speeds between consecutive observations. */
   def consecutiveSpeeds(xs: Array[TimePoint]): Array[Double] = {

@@ -8,11 +8,15 @@ import repro.core.{Cleaner, SeriesRow, TimePoint}
   * driver/executor boundary as one columnar [[SparkCleaner.Block]], in
   * both directions: `toDS` ships one block per series and expands it to
   * [[SeriesRow]]s on the executors, and `collectSeries` packs each
-  * partition's rows back into blocks before collecting. In between, each
-  * series is one group key; its rows are sorted by timestamp inside the
-  * group and repaired with any registered [[Cleaner]]. The sequential
-  * per-series algorithms are the paper's — Spark contributes parallelism
-  * across series and the SQL surface for violation detection and metrics.
+  * partition's rows back into blocks before collecting. `clean` shuffles
+  * blocks, not rows: each input partition's runs of same-key rows are
+  * packed into blocks, the blocks are grouped by series, and a group's
+  * blocks are merged back into one time-ordered series ([[Block.merge]])
+  * and repaired with any registered [[Cleaner]]. Points with equal
+  * timestamps that sit in different input partitions have no defined
+  * order, as with a row-wise `groupByKey`. The sequential per-series
+  * algorithms are the paper's — Spark contributes parallelism across
+  * series and the SQL surface for violation detection and metrics.
   */
 object SparkCleaner {
 
@@ -53,6 +57,12 @@ object SparkCleaner {
         Block(first.seriesId, t.result(), v.result())
       }
     }
+
+    /** One key's points from its blocks: concatenated in arrival order and
+      * stably sorted by `t`, so equal timestamps keep that order.
+      */
+    def merge(blocks: IterableOnce[Block]): Array[TimePoint] =
+      blocks.iterator.flatMap(_.points).toArray.sortBy(_.t)
   }
 
   /** Lift in-memory series into a Dataset[SeriesRow]: one block per series
@@ -65,12 +75,14 @@ object SparkCleaner {
       .flatMap(b => SeriesRow.fromPoints(b.seriesId, b.points))
   }
 
-  /** Clean every series with `cleaner`, one group per seriesId. */
+  /** Clean every series with `cleaner`, one group per seriesId. The
+    * shuffle moves one block per run of same-key rows in an input
+    * partition, not one row per point.
+    */
   def clean(ds: Dataset[SeriesRow], cleaner: Cleaner): Dataset[SeriesRow] = {
     import ds.sparkSession.implicits._
-    ds.groupByKey(_.seriesId).flatMapGroups { (id, rows) =>
-      val pts = SeriesRow.toPoints(rows.toSeq)
-      SeriesRow.fromPoints(id, cleaner.clean(pts)).iterator
+    ds.mapPartitions(Block.pack).groupByKey(_.seriesId).flatMapGroups { (id, blocks) =>
+      SeriesRow.fromPoints(id, cleaner.clean(Block.merge(blocks))).iterator
     }
   }
 
@@ -80,7 +92,7 @@ object SparkCleaner {
   def collectSeries(ds: Dataset[SeriesRow]): Map[Long, Array[TimePoint]] = {
     import ds.sparkSession.implicits._
     ds.mapPartitions(Block.pack).collect().groupBy(_.seriesId).map { case (id, blocks) =>
-      id -> blocks.flatMap(_.points).sortBy(_.t)
+      id -> Block.merge(blocks)
     }
   }
 

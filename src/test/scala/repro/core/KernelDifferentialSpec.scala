@@ -5,7 +5,6 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.Harness
-import scala.util.{Failure, Success, Try}
 
 /** Differential checks: the pruned MTCSC-G DP, MTCSC-L's shared step and
   * the array-backed MTCSC-C / A / Uni kernels against the readable
@@ -108,15 +107,9 @@ class KernelDifferentialSpec extends AnyFunSuite {
     } yield (c, MtcscA(c.sc, b = b, tau = tau, m = m))
     var recaptures = 0
     forAllSampled(g, 500) { case (c, a) =>
-      // A recapture over a window of zero speeds asks for s = 0, which
-      // SpeedConstraint rejects; both versions must then fail alike.
-      (Try(Reference.cleanA(c.xs, a)), Try(a.clean(c.xs))) match {
-        case (Success((want, changes)), Success(got)) =>
-          recaptures += changes
-          assertSame(got, want, s"$c $a")
-        case (Failure(e1), Failure(e2)) => assert(e1.getMessage == e2.getMessage, s"$c $a")
-        case (want, got) => fail(s"$c $a: reference $want, kernel $got")
-      }
+      val (want, changes) = Reference.cleanA(c.xs, a)
+      recaptures += changes
+      assertSame(a.clean(c.xs), want, s"$c $a")
     }
     assert(recaptures > 500, s"only $recaptures recaptures fired")
   }

@@ -91,6 +91,16 @@ class MtcscASpec extends AnyFunSuite {
       s"adaptive ($adaptRmse) should beat the mis-set fixed constraint ($fixedRmse)")
   }
 
+  test("MTCSC-A passes a stuck sensor's constant stretch through unchanged") {
+    // 400 points moving at speed 1, then 400 copies of the last value. W2
+    // fills with zero speeds, KL fires and the recapture reads s = 0.
+    for (d <- 1 to 2) {
+      val xs = Array.tabulate(800)(i => TimePoint(i.toDouble, Array.fill(d)(math.min(i, 399) / math.sqrt(d))))
+      val out = MtcscA(SpeedConstraint(2.0, 10.0)).clean(xs)
+      for (i <- xs.indices) assert(java.util.Arrays.equals(out(i).v, xs(i).v), s"D=$d point $i: ${out(i)}")
+    }
+  }
+
   test("MTCSC-A equals MTCSC-C while the speed distribution is stable") {
     val pts = Array.tabulate(80)(i => TimePoint.uni(i.toDouble,
       if (i == 40) 100.0 else i * 0.3))

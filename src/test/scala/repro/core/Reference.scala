@@ -7,8 +7,9 @@ import scala.collection.mutable.ArrayDeque
 /** Readable reference versions of the MTCSC kernels: the paper's
   * algorithms written down directly, kept as test oracles for the pruned,
   * array-backed and step-wise kernels in `repro.core`, which must
-  * reproduce them bit for bit. The row-wise collect is the oracle for the
-  * block packing in `SparkCleaner.collectSeries`.
+  * reproduce them bit for bit. The row-wise clean and collect are the
+  * oracles for the block shuffle in `SparkCleaner.clean` and the block
+  * packing in `SparkCleaner.collectSeries`.
   */
 object Reference {
 
@@ -143,7 +144,7 @@ object Reference {
       else if (w2.size < m) w2.append(s1)
       else {
         if (MtcscA.kl(MtcscA.distribution(w1, b, s), MtcscA.distribution(w2, b, s)) > tau)
-          out = SpeedConstraint.quantile(w2.toArray, 0.95) / beta
+          out = SpeedConstraint.floorSpeed(SpeedConstraint.quantile(w2.toArray, 0.95) / beta)
         w1.append(w2.removeHead()); w1.removeHead()
         w2.append(s1)
       }
@@ -176,6 +177,17 @@ object Reference {
       for (i <- xs.indices) out(i).v(l) = cleaned(i).v(0)
     }
     out
+  }
+
+  /** Every row through the shuffle, grouped by key, each key's rows stably
+    * sorted by `t` and cleaned.
+    */
+  def cleanRows(ds: Dataset[SeriesRow], cleaner: Cleaner): Dataset[SeriesRow] = {
+    import ds.sparkSession.implicits._
+    ds.groupByKey(_.seriesId).flatMapGroups { (id, rows) =>
+      val pts = SeriesRow.toPoints(rows.toSeq)
+      SeriesRow.fromPoints(id, cleaner.clean(pts)).iterator
+    }
   }
 
   /** Every row to the driver, grouped by key in collect order, each key's

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.TimeSeriesGen
 
 class SpeedConstraintSpec extends AnyFunSuite {
   private val sc = SpeedConstraint(s = 1.0, w = 2.0)
@@ -118,5 +119,19 @@ class SpeedConstraintSpec extends AnyFunSuite {
     val pts = Array(TimePoint.uni(0, 0), TimePoint.uni(0, 5), TimePoint.uni(1, 6))
     val sp = SpeedConstraint.consecutiveSpeeds(pts)
     assert(sp.toSeq == Seq(1.0))
+  }
+
+  test("repairs stay speed-sound at UTM-northing scale (coordinates around 5e6)") {
+    // Eps is absolute, and the spacing of doubles near 5e6 is about 1e-9,
+    // so a repair placed on the speed border by interpolation or
+    // projection must still pass speedOk there.
+    val sc = SpeedConstraint(1.6, 30.0)
+    for (seed <- Seq(19L, 20L, 21L)) {
+      val dirty = TimeSeriesGen.gpsWalk(seed = seed).dirty.map(p => TimePoint(p.t, p.v.map(_ + 5e6)))
+      val outputs = Seq(MtcscL(sc), MtcscC(sc), MtcscA(sc)).map(c => c.name -> c.clean(dirty)) :+
+        ("MTCSC-G" -> MtcscG(sc).clean(dirty.take(3000)))
+      for ((name, out) <- outputs; i <- 1 until out.length if out(i).t - out(i - 1).t <= sc.w)
+        assert(sc.speedOk(out(i - 1), out(i)), s"$name seed $seed pair ${i - 1},$i: ${out(i - 1)} -> ${out(i)}")
+    }
   }
 }

@@ -1,6 +1,9 @@
 package repro.spark
 
-import org.apache.spark.sql.Encoders
+import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.LongAdder
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.sql.{Dataset, Encoders}
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
@@ -95,21 +98,91 @@ class SparkCleanerSpec extends SparkSpec {
     assert(plan.collect { case r: LocalRelation => r.data.length } == Seq(4))
   }
 
+  /** `series` as rows that `toDS` never produces: a second-half-first
+    * `union`, and a cached scatter over five partitions by `t`.
+    */
+  private def reordered(series: Seq[(Long, Array[TimePoint])]): Seq[Dataset[SeriesRow]] = {
+    val secondFirst = SparkCleaner.toDS(spark, series.map { case (id, pts) => id -> pts.drop(150) })
+      .union(SparkCleaner.toDS(spark, series.map { case (id, pts) => id -> pts.take(150) }))
+    val scattered = SparkCleaner.toDS(spark, series).repartition(5, col("t")).cache()
+    assert(scattered.rdd.getNumPartitions == 5)
+    Seq(secondFirst, scattered)
+  }
+
+  /** Rows from outside toDS may disagree on D within a key (key 9). */
+  private def mixedD: Dataset[SeriesRow] =
+    spark.createDataset(Seq(SeriesRow(9L, 2.0, Seq(1.0)), SeriesRow(9L, 1.0, Seq(1.0, 2.0)),
+      SeriesRow(9L, 1.0, Seq(3.0)), SeriesRow(8L, 0.0, Seq(4.0))))(Encoders.product[SeriesRow]).coalesce(1)
+
+  /** The message of the first IllegalArgumentException in `run`'s failure. */
+  private def contractError(run: => Any): String = {
+    val e = intercept[Exception](run)
+    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case c: IllegalArgumentException => c.getMessage }
+      .getOrElse(fail(s"no IllegalArgumentException in $e"))
+  }
+
   test("collectSeries equals the row-wise collect when rows are scattered and out of order") {
     // Duplicate timestamps with distinct values, so the order of equal
     // timestamps in the output shows too.
     val series = (0L until 6L).map(id => id -> walk(300, 1 + (id % 3).toInt, seed = id))
-    val ds = SparkCleaner.toDS(spark, series)
-    val secondFirst = SparkCleaner.toDS(spark, series.map { case (id, pts) => id -> pts.drop(150) })
-      .union(SparkCleaner.toDS(spark, series.map { case (id, pts) => id -> pts.take(150) }))
-    val scattered = ds.repartition(5, col("t")).cache()
-    // Rows from outside toDS may disagree on D within a key.
-    val mixedD = spark.createDataset(Seq(SeriesRow(9L, 2.0, Seq(1.0)), SeriesRow(9L, 1.0, Seq(1.0, 2.0)),
-      SeriesRow(9L, 1.0, Seq(3.0)), SeriesRow(8L, 0.0, Seq(4.0))))(Encoders.product[SeriesRow]).coalesce(1)
-    for (rows <- Seq(ds, secondFirst, scattered, mixedD))
+    val inputs = SparkCleaner.toDS(spark, series) +: reordered(series) :+ mixedD
+    for (rows <- inputs)
       assertSameMaps(SparkCleaner.collectSeries(rows), Reference.collectSeries(rows))
-    assert(scattered.rdd.getNumPartitions == 5)
-    scattered.unpersist()
+    inputs.foreach(_.unpersist())
+  }
+
+  test("Spark clean equals the row-wise clean when rows are scattered and out of order") {
+    val sc = SpeedConstraint(1.5, 5.0)
+    val series = (0L until 6L).map(id => id -> walk(300, 2, seed = id))
+    val cleaners = Seq(MtcscG(sc), MtcscL(sc), MtcscC(sc), MtcscA(sc, m = 20), MtcscUni(Array.fill(2)(sc)))
+    val inputs = reordered(series)
+    for (rows <- inputs; cleaner <- cleaners)
+      assertSameMaps(SparkCleaner.collectSeries(SparkCleaner.clean(rows, cleaner)),
+        Reference.collectSeries(Reference.cleanRows(rows, cleaner)))
+    inputs.foreach(_.unpersist())
+    // A key that mixes D fails both with the kernel's input-contract error.
+    val mixed = MtcscL(sc)
+    val got = contractError(SparkCleaner.collectSeries(SparkCleaner.clean(mixedD, mixed)))
+    val want = contractError(Reference.collectSeries(Reference.cleanRows(mixedD, mixed)))
+    assert(got == want)
+    assert(got.startsWith("point 1 (t = 1.0): has 1 dimensions, point 0 has 2"), got)
+  }
+
+  test("clean shuffles one record per series and input partition, not one per point") {
+    val series = (0 until 4).map(i => i.toLong -> walk(1000, 2, seed = i))
+    val ds = SparkCleaner.toDS(spark, series)
+    val sc = spark.sparkContext
+    val group = "shuffle-shape"
+    val stages = ConcurrentHashMap.newKeySet[Int]()
+    val records = new LongAdder
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      private def groupOf(e: SparkListenerJobStart) = Option(e.properties).map(_.getProperty("spark.jobGroup.id"))
+      override def onJobStart(e: SparkListenerJobStart): Unit = groupOf(e) match {
+        case Some(`group`) => e.stageIds.foreach(stages.add)
+        case Some("shuffle-shape-barrier") => drained.countDown()
+        case _ =>
+      }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (stages.contains(e.stageId) && e.taskMetrics != null)
+          records.add(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "clean")
+      SparkCleaner.collectSeries(SparkCleaner.clean(ds, MtcscL(sc2)))
+      // The bus delivers events in order, so once a later job's start
+      // arrives, every task end of clean's jobs has too.
+      sc.setJobGroup("shuffle-shape-barrier", "barrier")
+      sc.parallelize(Seq(1), 1).count()
+      assert(drained.await(30, TimeUnit.SECONDS))
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+    val partitions = ds.rdd.getNumPartitions
+    assert(records.sum > 0 && records.sum <= 4 * partitions, s"${records.sum} records from $partitions partitions")
   }
 
   test("many series are cleaned independently and all keys survive") {
