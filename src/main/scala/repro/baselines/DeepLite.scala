@@ -2,14 +2,12 @@ package repro.baselines
 
 import repro.core.{Cleaner, TimePoint}
 
-/** Lightweight stand-ins for the paper's deep-learning baselines. The
-  * container has no GPU / deep-learning stack, so each is replaced by the
-  * closest classical model exercising the same code path: an
-  * unsupervised reconstructor trained on the *dirty* data whose
-  * predicted/reconstructed values serve as repair candidates
-  * (DESIGN.md §4 substitution 3).
-  */
-object DeepLite
+// Lightweight stand-ins for the paper's deep-learning baselines. The
+// container has no GPU / deep-learning stack, so each is replaced by the
+// closest classical model exercising the same code path: an
+// unsupervised reconstructor trained on the *dirty* data whose
+// predicted/reconstructed values serve as repair candidates
+// (DESIGN.md §4 substitution 3).
 
 /** TranAD-lite [35] — prediction-based: an online per-dimension AR(p)
   * linear predictor trained by SGD over the (normalised) dirty stream.

@@ -23,9 +23,6 @@ final case class HoloCleanLite(scs: Array[SpeedConstraint], buckets: Int = 50) e
 }
 
 object HoloCleanLite {
-  def capture(xs: Array[TimePoint], w: Double): HoloCleanLite =
-    HoloCleanLite(PerDim.captureSpeeds(xs, w))
-
   def clean1(ts: Array[Double], vs: Array[Double], s: Double, buckets: Int): Array[Double] = {
     val n = ts.length
     val out = vs.clone()

@@ -7,9 +7,9 @@ import repro.core.{Cleaner, SpeedConstraint, TimePoint}
   *
   * Extends the SCREEN interval with acceleration bounds derived from the
   * two previous repairs: with v_prev the last repaired speed, the next
-  * value must lie within x'_{k-1} + (v_prev ± a·dt)·dt. Acceleration
-  * limits are captured from data like the speed limits (95th percentile
-  * of absolute consecutive accelerations, symmetric).
+  * value must lie within x'_{k-1} + (v_prev ± a·dt)·dt. The caller sets
+  * one symmetric acceleration cap per dimension; the method registry
+  * (`Harness.methods`) uses 2·s of that dimension's speed constraint.
   */
 final case class SpeedAcc(scs: Array[SpeedConstraint], accs: Array[Double]) extends Cleaner {
   override def name: String = "SpeedAcc"
@@ -19,28 +19,6 @@ final case class SpeedAcc(scs: Array[SpeedConstraint], accs: Array[Double]) exte
 }
 
 object SpeedAcc {
-  def capture(xs: Array[TimePoint], w: Double): SpeedAcc = {
-    val scs = PerDim.captureSpeeds(xs, w)
-    val d = xs(0).dim
-    val accs = Array.tabulate(d) { l =>
-      val a = Array.newBuilder[Double]
-      var i = 2
-      while (i < xs.length) {
-        val dt1 = xs(i - 1).t - xs(i - 2).t
-        val dt2 = xs(i).t - xs(i - 1).t
-        if (dt1 > 0 && dt2 > 0) {
-          val v1 = (xs(i - 1).v(l) - xs(i - 2).v(l)) / dt1
-          val v2 = (xs(i).v(l) - xs(i - 1).v(l)) / dt2
-          a += math.abs(v2 - v1) / dt2
-        }
-        i += 1
-      }
-      val arr = a.result()
-      if (arr.isEmpty) Double.MaxValue else math.max(SpeedConstraint.quantile(arr, 0.95), 1e-9)
-    }
-    SpeedAcc(scs, accs)
-  }
-
   /** One-dimensional speed+acceleration pass. */
   def clean1(ts: Array[Double], vs: Array[Double], s: Double, a: Double, w: Double): Array[Double] = {
     val n = ts.length

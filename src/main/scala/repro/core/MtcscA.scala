@@ -113,7 +113,7 @@ object MtcscA {
       }
       if (s != countedS) { recount(s); stale = true }
       if (stale) {
-        // The distributions of full windows: counts over m, as `distribution`.
+        // The distributions of the full windows: counts over m.
         var i = 0
         while (i < b) { p1(i) = c1(i) / m.toDouble; p2(i) = c2(i) / m.toDouble; i += 1 }
         divergent = kl(p1, p2) > tau
@@ -142,28 +142,10 @@ object MtcscA {
   }
 
   /** Bucket of speed `v`: b-1 equal intervals of `width = s / (b - 1)` over
-    * [0, s] plus the overflow (s, inf). The one bucketing rule, shared by
-    * [[bucketCounts]] and [[AdaptiveState]].
+    * [0, s] plus the overflow (s, inf). The one bucketing rule.
     */
   def bucket(v: Double, b: Int, s: Double, width: Double): Int =
     if (v > s) b - 1 else math.min(b - 2, math.max(0, math.ceil(v / width).toInt - 1))
-
-  /** Bucket counts: b-1 equal intervals over [0, s] plus overflow (s, inf).
-    * (Example 4.1: s = 2.2, b = 6 yields interval width 0.44.)
-    */
-  def bucketCounts(speeds: Iterable[Double], b: Int, s: Double): Array[Int] = {
-    val counts = Array.fill(b)(0)
-    val width = s / (b - 1)
-    for (v <- speeds) counts(bucket(v, b, s, width)) += 1
-    counts
-  }
-
-  /** Normalized probability distribution over the buckets. */
-  def distribution(speeds: Iterable[Double], b: Int, s: Double): Array[Double] = {
-    val counts = bucketCounts(speeds, b, s)
-    val total = counts.sum.toDouble
-    if (total == 0) Array.fill(b)(0.0) else counts.map(_ / total)
-  }
 
   /** KL divergence with natural log; 0-probability p terms contribute 0,
     * 0-probability q terms are clamped to avoid infinities.

@@ -117,14 +117,8 @@ object MtcscC {
     while (end < n && xs(end).t <= xs(k).t + sc.w) end += 1
     val rep = largestClusterHead(out(k - 1), xs, k + 1, end, sc, scratch)
     if (rep >= 0) {
-      if (!(sc.speedOk(out(k - 1), xs(k)) && sc.speedOk(xs(k), xs(rep)))) {
-        val alpha = (xs(k).t - out(k - 1).t) / (xs(rep).t - out(k - 1).t)
-        var l = 0
-        while (l < out(k).v.length) {
-          out(k).v(l) = alpha * (xs(rep).v(l) - out(k - 1).v(l)) + out(k - 1).v(l)
-          l += 1
-        }
-      }
+      if (!(sc.speedOk(out(k - 1), xs(k)) && sc.speedOk(xs(k), xs(rep))))
+        TimePoint.interpolate(out(k), out(k - 1), xs(rep))
     } else if (!sc.speedOk(out(k - 1), xs(k))) {
       // Empty cluster set — the paper's Algorithm 4 leaves this case
       // unspecified (line 9's argmax needs a cluster). Copying the

@@ -83,15 +83,9 @@ object MtcscG {
   }
 
   /** Interpolation repair (formula (6)) of every FixList point between its
-    * nearest clean neighbours; clean points are returned unchanged.
+    * nearest clean neighbours, into `out`, a copy of `xs`; clean points
+    * stay unchanged.
     */
-  def repair(xs: Array[TimePoint], fixes: Array[Int]): Array[TimePoint] = {
-    val out = TimePoint.copyOf(xs)
-    repairInto(out, xs, fixes)
-    out
-  }
-
-  /** [[repair]] into `out`, a copy of `xs`. */
   private def repairInto(out: Array[TimePoint], xs: Array[TimePoint], fixes: Array[Int]): Unit = {
     if (fixes.isEmpty) return
     val isFix = new Array[Boolean](xs.length)
@@ -102,13 +96,7 @@ object MtcscG {
       var m = i + 1
       while (m < xs.length && isFix(m)) m += 1
       (p >= 0, m < xs.length) match {
-        case (true, true) =>
-          val alpha = (xs(i).t - xs(p).t) / (xs(m).t - xs(p).t)
-          var l = 0
-          while (l < out(i).v.length) {
-            out(i).v(l) = alpha * (xs(m).v(l) - xs(p).v(l)) + xs(p).v(l)
-            l += 1
-          }
+        case (true, true)  => TimePoint.interpolate(out(i), xs(p), xs(m))
         case (true, false) => Array.copy(xs(p).v, 0, out(i).v, 0, out(i).v.length)
         case (false, true) => Array.copy(xs(m).v, 0, out(i).v, 0, out(i).v.length)
         case _             => () // single-point series: nothing to anchor on

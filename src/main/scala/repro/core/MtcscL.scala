@@ -40,19 +40,9 @@ object MtcscL {
       val last = xs(k).t + sc.w
       var i = k + 1
       while (i < n && xs(i).t <= last && !sc.speedOk(xs(i), p)) i += 1
-      if (i < n && xs(i).t <= last) { interpolate(out(k), p, xs(i)); true }
+      if (i < n && xs(i).t <= last) { TimePoint.interpolate(out(k), p, xs(i)); true }
       else if (i < n || closed) { Array.copy(p.v, 0, out(k).v, 0, p.v.length); true }
       else false
-    }
-  }
-
-  /** x'_k = alpha * (x_m - x'_p) + x'_p with alpha = (tk-tp)/(tm-tp). */
-  private def interpolate(target: TimePoint, p: TimePoint, m: TimePoint): Unit = {
-    val alpha = (target.t - p.t) / (m.t - p.t)
-    var l = 0
-    while (l < target.v.length) {
-      target.v(l) = alpha * (m.v(l) - p.v(l)) + p.v(l)
-      l += 1
     }
   }
 }

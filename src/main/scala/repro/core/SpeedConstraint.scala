@@ -11,39 +11,14 @@ final case class SpeedConstraint(s: Double, w: Double) {
   require(s > 0, s"speed constraint must be positive, got $s")
   require(w > 0, s"window must be positive, got $w")
 
-  /** satisfy(xi, xj) — Definition 2.3: true iff the pair is compatible
-    * w.r.t. `s`. Order-insensitive; pairs with time gap 0 are compatible
-    * only when values coincide, pairs with gap > w carry no constraint.
-    * Used by the *global* problem (MTCSC-G's DP, `satisfiedBy`).
-    */
-  def satisfy(a: TimePoint, b: TimePoint): Boolean = {
-    val dt = math.abs(b.t - a.t)
-    if (dt > w) true
-    else speedOk(a, b)
-  }
-
   /** Pure speed test d(a, b) <= s * dt, with no window cut-off — the
-    * check the online algorithms apply inside their scans (Example 3.3
+    * check MTCSC-G's DP and the online algorithms' scans apply (Example 3.3
     * accepts a successor at gap 3 > w = 2 because d <= s * 3).
     */
   def speedOk(a: TimePoint, b: TimePoint): Boolean = {
     val dt = math.abs(b.t - a.t)
     if (dt == 0) a.sameValues(b)
     else a.dist(b) <= s * dt + SpeedConstraint.Eps
-  }
-
-  /** True iff every in-window pair of the series is compatible (x |= s). */
-  def satisfiedBy(xs: Array[TimePoint]): Boolean = {
-    var i = 0
-    while (i < xs.length) {
-      var j = i + 1
-      while (j < xs.length && xs(j).t - xs(i).t <= w) {
-        if (!satisfy(xs(i), xs(j))) return false
-        j += 1
-      }
-      i += 1
-    }
-    true
   }
 }
 

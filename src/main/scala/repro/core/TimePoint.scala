@@ -41,6 +41,20 @@ object TimePoint {
   /** Deep copy of a whole series. */
   def copyOf(xs: Array[TimePoint]): Array[TimePoint] = xs.map(copyOf)
 
+  /** Formula (6): repairs `target`, a copy of the point at t_k, onto the
+    * line from `p` to `m`: x'_k = alpha * (x_m - x'_p) + x'_p with
+    * alpha = (t_k - t_p) / (t_m - t_p). The one interpolation site of
+    * MTCSC-G, MTCSC-L and MTCSC-C.
+    */
+  private[core] def interpolate(target: TimePoint, p: TimePoint, m: TimePoint): Unit = {
+    val alpha = (target.t - p.t) / (m.t - p.t)
+    var l = 0
+    while (l < target.v.length) {
+      target.v(l) = alpha * (m.v(l) - p.v(l)) + p.v(l)
+      l += 1
+    }
+  }
+
   /** Deep copy of a series that also checks the cleaners' input contract
     * in the same pass: timestamps finite and non-decreasing (duplicates
     * are allowed), values finite, and every point of the first point's

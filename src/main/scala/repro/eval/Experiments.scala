@@ -227,7 +227,7 @@ object Experiments {
     for (row <- sweep) {
       sb.append(f"-- $xLabel = ${row.x}%.2f --\n")
       sb.append(f"${"method"}%-10s ${"RMSE"}%8s ${"repairDist"}%10s ${"repairNum"}%15s ${"time"}%9s\n")
-      row.rows.foreach(r => sb.append(r.fmt(0)).append('\n'))
+      row.rows.foreach(r => sb.append(r.fmt).append('\n'))
     }
     sb.toString
   }

@@ -15,7 +15,7 @@ object Harness {
   /** One result row of a comparison table. */
   final case class ResultRow(method: String, rmse: Double, repairDistance: Double,
                              repairCount: Int, repairFraction: Double, millis: Double) {
-    def fmt(n: Int): String =
+    def fmt: String =
       f"$method%-10s ${rmse}%8.4f ${repairDistance}%10.4f   $repairCount%6d(${repairFraction * 100}%5.2f%%) ${millis}%8.2f ms"
   }
 
@@ -72,6 +72,6 @@ object Harness {
 
   def formatTable(title: String, rows: Seq[ResultRow]): String = {
     val header = f"${"method"}%-10s ${"RMSE"}%8s ${"repairDist"}%10s ${"repairNum"}%15s ${"time"}%11s"
-    (s"== $title ==" +: header +: rows.map(_.fmt(0))).mkString("\n")
+    (s"== $title ==" +: header +: rows.map(_.fmt)).mkString("\n")
   }
 }

@@ -16,7 +16,7 @@ import repro.core.{Cleaner, SeriesRow, TimePoint}
   * timestamps that sit in different input partitions have no defined
   * order, as with a row-wise `groupByKey`. The sequential per-series
   * algorithms are the paper's — Spark contributes parallelism across
-  * series and the SQL surface for violation detection and metrics.
+  * series and the SQL surface for violation detection.
   */
 object SparkCleaner {
 
@@ -108,7 +108,9 @@ object SparkCleaner {
   /** SQL detecting consecutive-pair speed violations, written to run
     * identically on Spark and DuckDB (all columns explicitly cast, since
     * the oracle stages tables as VARCHAR). One row per point with its
-    * consecutive Euclidean speed and a violation flag.
+    * consecutive Euclidean speed and a violation flag. A pair with equal
+    * timestamps has no speed and yields no row, as in
+    * [[repro.core.SpeedConstraint.consecutiveSpeeds]].
     */
   def violationSql(table: String, dims: Int, s: Double): String = {
     val vcols = (0 until dims).map(l => s"CAST(v$l AS DOUBLE)")
@@ -119,7 +121,7 @@ object SparkCleaner {
        |FROM (
        |  SELECT CAST(series_id AS BIGINT) AS series_id,
        |         CAST(t AS DOUBLE) AS t,
-       |         $distExpr / (CAST(t AS DOUBLE) - LAG(CAST(t AS DOUBLE)) OVER w) AS speed
+       |         $distExpr / NULLIF(CAST(t AS DOUBLE) - LAG(CAST(t AS DOUBLE)) OVER w, 0) AS speed
        |  FROM $table
        |  WINDOW w AS (PARTITION BY series_id ORDER BY CAST(t AS DOUBLE))
        |) sub
@@ -134,20 +136,5 @@ object SparkCleaner {
     // not needed once it returns.
     try flat.sparkSession.sql(violationSql(view, dims, s))
     finally flat.sparkSession.catalog.dropTempView(view)
-  }
-
-  /** SQL computing RMSE between a repaired and a truth table (joined on
-    * series_id + t) — also oracle-compatible.
-    */
-  def rmseSql(repairedTable: String, truthTable: String, dims: Int): String = {
-    val sq = (0 until dims)
-      .map(l => s"(CAST(r.v$l AS DOUBLE) - CAST(g.v$l AS DOUBLE))")
-      .map(d => s"$d * $d")
-      .mkString(" + ")
-    s"""SELECT SQRT(AVG($sq)) AS rmse
-       |FROM $repairedTable r
-       |JOIN $truthTable g
-       |  ON CAST(r.series_id AS BIGINT) = CAST(g.series_id AS BIGINT)
-       | AND CAST(r.t AS DOUBLE) = CAST(g.t AS DOUBLE)""".stripMargin
   }
 }

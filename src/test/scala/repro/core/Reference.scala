@@ -9,9 +9,36 @@ import scala.collection.mutable.ArrayDeque
   * array-backed and step-wise kernels in `repro.core`, which must
   * reproduce them bit for bit. The row-wise clean and collect are the
   * oracles for the block shuffle in `SparkCleaner.clean` and the block
-  * packing in `SparkCleaner.collectSeries`.
+  * packing in `SparkCleaner.collectSeries`. Definition 2.3's
+  * window-aware pair and whole-series checks and Algorithm 5's
+  * histograms are here too: the kernels use neither.
   */
 object Reference {
+
+  /** satisfy(xi, xj) — Definition 2.3: true iff the pair is compatible
+    * w.r.t. `s`. Order-insensitive; pairs with time gap 0 are compatible
+    * only when values coincide, pairs with gap > w carry no constraint.
+    * The kernels use the pure [[SpeedConstraint.speedOk]] instead.
+    */
+  def satisfy(sc: SpeedConstraint, a: TimePoint, b: TimePoint): Boolean = {
+    val dt = math.abs(b.t - a.t)
+    if (dt > sc.w) true
+    else sc.speedOk(a, b)
+  }
+
+  /** True iff every in-window pair of the series is compatible (x |= s). */
+  def satisfiedBy(sc: SpeedConstraint, xs: Array[TimePoint]): Boolean = {
+    var i = 0
+    while (i < xs.length) {
+      var j = i + 1
+      while (j < xs.length && xs(j).t - xs(i).t <= sc.w) {
+        if (!satisfy(sc, xs(i), xs(j))) return false
+        j += 1
+      }
+      i += 1
+    }
+    true
+  }
 
   /** Algorithm 1 without pruning: the O(n²) longest-compatible-chain DP.
     * `pre(i)` is the smallest compatible j with the best `dp(j) + 1`.
@@ -128,6 +155,24 @@ object Reference {
     out
   }
 
+  /** Bucket counts of Algorithm 5's histograms, through the kernel's
+    * [[MtcscA.bucket]]: b-1 equal intervals over [0, s] plus overflow
+    * (s, inf). (Example 4.1: s = 2.2, b = 6 yields interval width 0.44.)
+    */
+  def bucketCounts(speeds: Iterable[Double], b: Int, s: Double): Array[Int] = {
+    val counts = Array.fill(b)(0)
+    val width = s / (b - 1)
+    for (v <- speeds) counts(MtcscA.bucket(v, b, s, width)) += 1
+    counts
+  }
+
+  /** Normalized probability distribution over the buckets. */
+  def distribution(speeds: Iterable[Double], b: Int, s: Double): Array[Double] = {
+    val counts = bucketCounts(speeds, b, s)
+    val total = counts.sum.toDouble
+    if (total == 0) Array.fill(b)(0.0) else counts.map(_ / total)
+  }
+
   /** Algorithm 5's state kept as two speed deques, rebucketed and
     * compared on every point.
     */
@@ -143,7 +188,7 @@ object Reference {
       if (w1.size < m) w1.append(s1)
       else if (w2.size < m) w2.append(s1)
       else {
-        if (MtcscA.kl(MtcscA.distribution(w1, b, s), MtcscA.distribution(w2, b, s)) > tau)
+        if (MtcscA.kl(distribution(w1, b, s), distribution(w2, b, s)) > tau)
           out = SpeedConstraint.floorSpeed(SpeedConstraint.quantile(w2.toArray, 0.95) / beta)
         w1.append(w2.removeHead()); w1.removeHead()
         w2.append(s1)

