@@ -5,6 +5,7 @@ import java.util.concurrent.atomic.LongAdder
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.{Dataset, Encoders}
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.execution.ExternalRDD
 import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 import repro.core._
@@ -92,10 +93,49 @@ class SparkCleanerSpec extends SparkSpec {
     assert(e.getMessage.startsWith("series 5, point 6 (t = 100.0): has 3 dimensions, point 0 has 2"), e.getMessage)
   }
 
-  test("toDS ships one driver row per series, not one per point") {
+  test("toDS ships at most k + n - 1 blocks, not one driver row per point") {
     val series = (0 until 4).map(i => i.toLong -> TimeSeriesGen.stock(500, seed = i))
     val plan = SparkCleaner.toDS(spark, series).queryExecution.optimizedPlan
-    assert(plan.collect { case r: LocalRelation => r.data.length } == Seq(4))
+    assert(plan.collect { case r: LocalRelation => r }.isEmpty)
+    val shipped = plan.collect { case r: ExternalRDD[_] => r.rdd.collect().toSeq }.flatten
+    val n = spark.sparkContext.defaultParallelism
+    assert(shipped.nonEmpty && shipped.forall(_.isInstanceOf[SparkCleaner.Block]))
+    assert(shipped.length <= series.length + n - 1, s"${shipped.length} blocks from ${series.length} series, $n slices")
+  }
+
+  test("toDS slices by points: no partition holds more than a slice and a tie run, and no tie run is split") {
+    val n = spark.sparkContext.defaultParallelism
+    val sizes = 20000 +: Seq.fill(40)(100)
+    val size = (sizes.sum + n - 1) / n
+    val tie = 5
+    // Strictly increasing timestamps, then a run of `tie` equal ones
+    // across every slice boundary that falls inside a series.
+    val starts = sizes.scanLeft(0)(_ + _)
+    val series = sizes.zipWithIndex.map { case (len, id) =>
+      val pts = walk(len, 2, seed = 500 + id).distinctBy(_.t)
+      assert(pts.length >= len / 2)
+      val padded = pts ++ Array.tabulate(len - pts.length)(i => TimePoint(pts.last.t + 1 + i, Array(i.toDouble, 0.0)))
+      for (k <- 1 until n; i = k * size - starts(id) if i >= 1 && i < len) {
+        val from = math.max(0, i - tie / 2)
+        for (j <- from until math.min(len, from + tie)) padded(j) = TimePoint(padded(from).t, padded(j).v)
+      }
+      id.toLong -> padded
+    }
+    val longestTie = series.map { case (_, pts) =>
+      pts.indices.map(i => pts.indices.drop(i).takeWhile(j => pts(j).t == pts(i).t).length).max
+    }.max
+    assert(longestTie == tie || n == 1)
+    val ds = SparkCleaner.toDS(spark, series)
+    val placed = ds.rdd.mapPartitionsWithIndex((p, rows) => rows.map(r => (p, r.seriesId, r.t))).collect()
+    val perPartition = placed.groupBy(_._1).map { case (p, rows) => p -> rows.length }
+    assert(perPartition.values.forall(_ <= size + longestTie), s"slice $size: $perPartition")
+    val split = placed.groupBy(r => (r._2, r._3)).filter(_._2.map(_._1).distinct.length > 1)
+    assert(split.isEmpty, s"tie runs split across partitions: ${split.keys.take(3)}")
+    assertSameMaps(SparkCleaner.collectSeries(ds), series.toMap)
+    val sc = SpeedConstraint(1.5, 5.0)
+    for (cleaner <- Seq(MtcscL(sc), MtcscC(sc)))
+      assertSameMaps(SparkCleaner.collectSeries(SparkCleaner.clean(ds, cleaner)),
+        series.map { case (id, pts) => id -> cleaner.clean(pts) }.toMap)
   }
 
   /** `series` as rows that `toDS` never produces: a second-half-first
@@ -204,7 +244,7 @@ class SparkCleanerSpec extends SparkSpec {
     val ds = SparkCleaner.toDS(spark, Seq(0L -> gps.dirty.take(200)))
     val flat = SparkCleaner.toFlatDF(ds, dims = 2).cache()
     val sparkDf = SparkCleaner.violations(flat, dims = 2, s = 2.5)
-    Oracle.assertEquivalent(sparkDf, SparkCleaner.violationSql("ts", 2, 2.5), "ts" -> flat)
+    Oracle.assertEquivalent(sparkDf, violationSql("ts", 2, 2.5), "ts" -> flat)
   }
 
   test("violations leaves no temporary view behind") {
@@ -242,8 +282,65 @@ class SparkCleanerSpec extends SparkSpec {
     assert(sparkDf.count() == pts.length - 1 - ties)
     assert(sparkDf.filter(col("violation") === 1).count() ==
       SpeedConstraint.consecutiveSpeeds(pts).count(_ > 2.5))
-    Oracle.assertEquivalent(sparkDf, SparkCleaner.violationSql("ts", 2, 2.5), "ts" -> flat)
+    Oracle.assertEquivalent(sparkDf, violationSql("ts", 2, 2.5), "ts" -> flat)
     flat.unpersist()
+  }
+
+  /** The DuckDB oracle's SQL for [[SparkCleaner.violations]]: consecutive
+    * speeds by lag window functions, written to run identically on Spark
+    * and DuckDB (all columns explicitly cast, since the oracle stages
+    * tables as VARCHAR). A pair with equal timestamps yields no row.
+    */
+  private def violationSql(table: String, dims: Int, s: Double): String = {
+    val vcols = (0 until dims).map(l => s"CAST(v$l AS DOUBLE)")
+    val lagDiffs = vcols.map(v => s"($v - LAG($v) OVER w)")
+    val distExpr = "SQRT(" + lagDiffs.map(d => s"$d * $d").mkString(" + ") + ")"
+    s"""SELECT series_id, t, speed,
+       |       CASE WHEN speed > $s THEN 1 ELSE 0 END AS violation
+       |FROM (
+       |  SELECT CAST(series_id AS BIGINT) AS series_id,
+       |         CAST(t AS DOUBLE) AS t,
+       |         $distExpr / NULLIF(CAST(t AS DOUBLE) - LAG(CAST(t AS DOUBLE)) OVER w, 0) AS speed
+       |  FROM $table
+       |  WINDOW w AS (PARTITION BY series_id ORDER BY CAST(t AS DOUBLE))
+       |) sub
+       |WHERE speed IS NOT NULL""".stripMargin
+  }
+
+  test("block violations equal consecutiveSpeeds per key on toDS and reordered rows, and agree with DuckDB (oracle)") {
+    // Strictly increasing timestamps where one point in ten is repeated
+    // with its timestamp and values, so a tie's order cannot change a
+    // speed; plus a zero-length and a one-point key.
+    def dupWalk(n: Int, seed: Long): Array[TimePoint] = {
+      val r = new scala.util.Random(seed)
+      walk(n, 2, seed).distinctBy(_.t).flatMap(p => if (r.nextDouble() < 0.1) Seq(p, TimePoint(p.t, p.v.clone())) else Seq(p))
+    }
+    val series = (0L -> Array.empty[TimePoint]) +: (1L -> walk(1, 2, seed = 1)) +:
+      (2L until 6L).map(id => id -> dupWalk(400, seed = id))
+    val s = 2.5
+    val inputs = SparkCleaner.toDS(spark, series) +: reordered(series)
+    for (rows <- inputs) {
+      val flat = SparkCleaner.toFlatDF(rows, dims = 2).cache()
+      val viol = SparkCleaner.violations(flat, dims = 2, s)
+      assert(viol.schema.map(f => f.name -> f.dataType.sql) ==
+        Seq("series_id" -> "BIGINT", "t" -> "DOUBLE", "speed" -> "DOUBLE", "violation" -> "INT"))
+      val got = viol.collect().groupBy(_.getLong(0)).map { case (id, rs) =>
+        id -> rs.map(r => (r.getDouble(1), r.getDouble(2), r.getInt(3))).sortBy(_._1)
+      }
+      for ((id, pts) <- series) {
+        val speeds = SpeedConstraint.consecutiveSpeeds(pts)
+        val ts = (1 until pts.length).filter(i => pts(i).t - pts(i - 1).t > 0).map(pts(_).t)
+        val rs = got.getOrElse(id, Array.empty[(Double, Double, Int)])
+        def bits(xs: Seq[Double]) = xs.map(java.lang.Double.doubleToLongBits)
+        assert(bits(rs.map(_._1).toSeq) == bits(ts), s"series $id t")
+        assert(bits(rs.map(_._2).toSeq) == bits(speeds.toSeq), s"series $id speed")
+        assert(rs.count(_._3 == 1) == speeds.count(_ > s), s"series $id flags")
+      }
+      assert(got.keySet.subsetOf(series.map(_._1).toSet))
+      Oracle.assertEquivalent(viol, violationSql("ts", 2, s), "ts" -> flat)
+      flat.unpersist()
+    }
+    inputs.foreach(_.unpersist())
   }
 
   /** SQL computing RMSE between a repaired and a truth table (joined on
