@@ -36,9 +36,10 @@ object PerDim {
     }
   }
 
-  /** Median of a non-empty sample. */
+  /** Median of a non-empty sample; sorts a copy. */
   def median(a: Array[Double]): Double = {
-    val s = a.sorted
+    val s = a.clone()
+    java.util.Arrays.sort(s)
     val n = s.length
     if (n % 2 == 1) s(n / 2) else (s(n / 2 - 1) + s(n / 2)) / 2.0
   }

@@ -23,35 +23,36 @@ final case class Screen(scs: Array[SpeedConstraint]) extends Cleaner {
 object Screen {
   /** One-dimensional SCREEN pass. */
   def clean1(ts: Array[Double], vs: Array[Double], s: Double, w: Double): Array[Double] = {
-    val n = ts.length
     val out = vs.clone()
     var k = 1
-    while (k < n) {
+    while (k < ts.length) {
       val dt = ts(k) - ts(k - 1)
-      val lbPrev = out(k - 1) - s * dt
-      val ubPrev = out(k - 1) + s * dt
-      // Bounds induced by in-window successors, median-aggregated.
-      val lbs = Array.newBuilder[Double]
-      val ubs = Array.newBuilder[Double]
-      var i = k + 1
-      while (i < n && ts(i) <= ts(k) + w) {
-        val gap = ts(i) - ts(k)
-        lbs += vs(i) - s * gap
-        ubs += vs(i) + s * gap
-        i += 1
-      }
-      val (lo, hi) = {
-        val la = lbs.result(); val ua = ubs.result()
-        if (la.isEmpty) (lbPrev, ubPrev)
-        else {
-          val l0 = math.max(lbPrev, PerDim.median(la))
-          val u0 = math.min(ubPrev, PerDim.median(ua))
-          if (l0 <= u0) (l0, u0) else (lbPrev, ubPrev)
-        }
-      }
+      val (lo, hi) = successorInterval(ts, vs, k, s, w, out(k - 1) - s * dt, out(k - 1) + s * dt)
       out(k) = math.min(hi, math.max(lo, vs(k))) // median(lo, hi, x_k)
       k += 1
     }
     out
+  }
+
+  /** [lo, hi] intersected with the medians of the bounds that point k's
+    * in-window successors induce; [lo, hi] itself when no successor is in
+    * the window or the intersection is empty. SCREEN's one interval rule,
+    * also used by SpeedAcc.
+    */
+  def successorInterval(ts: Array[Double], vs: Array[Double], k: Int, s: Double, w: Double,
+                        lo: Double, hi: Double): (Double, Double) = {
+    val lbs = Array.newBuilder[Double]
+    val ubs = Array.newBuilder[Double]
+    var i = k + 1
+    while (i < ts.length && ts(i) <= ts(k) + w) {
+      val gap = ts(i) - ts(k)
+      lbs += vs(i) - s * gap
+      ubs += vs(i) + s * gap
+      i += 1
+    }
+    if (i == k + 1) return (lo, hi)
+    val l0 = math.max(lo, PerDim.median(lbs.result()))
+    val u0 = math.min(hi, PerDim.median(ubs.result()))
+    if (l0 <= u0) (l0, u0) else (lo, hi)
   }
 }

@@ -36,24 +36,9 @@ object SpeedAcc {
           hi = math.min(hi, out(k - 1) + (vPrev + a * dt) * dt)
         }
       }
-      // Median-aggregated successor bounds (as in SCREEN).
-      val lbs = Array.newBuilder[Double]
-      val ubs = Array.newBuilder[Double]
-      var i = k + 1
-      while (i < n && ts(i) <= ts(k) + w) {
-        val gap = ts(i) - ts(k)
-        lbs += vs(i) - s * gap
-        ubs += vs(i) + s * gap
-        i += 1
-      }
-      val la = lbs.result(); val ua = ubs.result()
-      if (la.nonEmpty) {
-        val l0 = math.max(lo, PerDim.median(la))
-        val u0 = math.min(hi, PerDim.median(ua))
-        if (l0 <= u0) { lo = l0; hi = u0 }
-      }
-      if (lo > hi) { val mid = (lo + hi) / 2; lo = mid; hi = mid }
-      out(k) = math.min(hi, math.max(lo, vs(k)))
+      // SCREEN's successor interval; the midpoint when it is empty.
+      val (l, h) = Screen.successorInterval(ts, vs, k, s, w, lo, hi)
+      out(k) = if (l > h) (l + h) / 2 else math.min(h, math.max(l, vs(k)))
       k += 1
     }
     out

@@ -46,14 +46,16 @@ object MtcscA {
     * its older half and W2 its newer half. Once both are full, the bucket
     * counts of each are kept up to date as one speed enters W2, one moves
     * from W2 to W1 and one leaves W1; they are recounted only when `s`
-    * differs from the `s` they were counted under. W2 is also kept
-    * sorted, so a recapture reads its percentile without sorting.
+    * differs from the `s` they were counted under. A recapture copies W2
+    * out of the ring and takes its percentile with
+    * [[SpeedConstraint.quantile]], the rule [[SpeedConstraint.capture]]
+    * applies.
     */
   final class AdaptiveState(b: Int, tau: Double, m: Int, beta: Double) {
     private val ring = new Array[Double](2 * m)
     private var oldest = 0 // ring index of W1's first speed once both are full
     private var filled = 0
-    private val sortedW2 = new Array[Double](m)
+    private val w2 = new Array[Double](m) // W2 copied out of the ring at a recapture
     private val c1 = new Array[Int](b)
     private val c2 = new Array[Int](b)
     private val p1 = new Array[Double](b)
@@ -67,6 +69,11 @@ object MtcscA {
     private def at(i: Int): Double = {
       val j = oldest + i
       ring(if (j >= ring.length) j - ring.length else j)
+    }
+    private def copyOfW2(): Array[Double] = {
+      var i = 0
+      while (i < m) { w2(i) = at(m + i); i += 1 }
+      w2
     }
     private def bucketOf(v: Double): Int = bucket(v, b, countedS, width)
 
@@ -83,30 +90,12 @@ object MtcscA {
       }
     }
 
-    /** Insert `v` into `sortedW2[0, n)`, which has room at n. */
-    private def insertSorted(v: Double, n: Int): Unit = {
-      var j = java.util.Arrays.binarySearch(sortedW2, 0, n, v)
-      if (j < 0) j = -j - 1
-      System.arraycopy(sortedW2, j, sortedW2, j + 1, n - j)
-      sortedW2(j) = v
-    }
-
-    /** Replace one copy of `old` in the full `sortedW2` by `v`. */
-    private def replaceSorted(old: Double, v: Double): Unit = {
-      val i = java.util.Arrays.binarySearch(sortedW2, 0, m, old)
-      var j = java.util.Arrays.binarySearch(sortedW2, 0, m, v)
-      if (j < 0) j = -j - 1
-      if (j > i) { System.arraycopy(sortedW2, i + 1, sortedW2, i, j - 1 - i); sortedW2(j - 1) = v }
-      else { System.arraycopy(sortedW2, j, sortedW2, j + 1, i - j); sortedW2(j) = v }
-    }
-
     /** Feed the speed of (p -> k); returns the (possibly updated) s. */
     def update(p: TimePoint, k: TimePoint, s: Double): Double = {
       val dt = k.t - p.t
       if (dt <= 0) return s
       val s1 = k.dist(p) / dt
       if (filled < ring.length) {
-        if (filled >= m) insertSorted(s1, filled - m)
         ring(filled) = s1
         filled += 1
         return s
@@ -119,9 +108,7 @@ object MtcscA {
         divergent = kl(p1, p2) > tau
         stale = false
       }
-      val out =
-        if (divergent) SpeedConstraint.floorSpeed(sortedW2(SpeedConstraint.nearestRank(m, 0.95)) / beta)
-        else s
+      val out = if (divergent) SpeedConstraint.floorSpeed(SpeedConstraint.quantile(copyOfW2(), 0.95) / beta) else s
       // Slide: W1 drops its oldest speed and takes W2's oldest; W2 takes s1.
       val moving = at(m)
       val left = bucketOf(at(0))
@@ -134,7 +121,6 @@ object MtcscA {
         c2(entered) += 1
         stale = true
       }
-      replaceSorted(moving, s1)
       ring(oldest) = s1
       oldest = if (oldest + 1 == ring.length) 0 else oldest + 1
       out

@@ -57,12 +57,11 @@ object SpeedConstraint {
     out.result()
   }
 
-  /** Nearest-rank quantile over a non-empty sample. */
+  /** Nearest-rank quantile over a non-empty sample; sorts a copy. */
   def quantile(sample: Array[Double], q: Double): Double = {
     require(sample.nonEmpty)
-    sample.sorted.apply(nearestRank(sample.length, q))
+    val sorted = sample.clone()
+    java.util.Arrays.sort(sorted)
+    sorted(math.min(sorted.length - 1, math.max(0, math.ceil(q * sorted.length).toInt - 1)))
   }
-
-  /** Index of the nearest-rank q-quantile in a sorted sample of size n. */
-  def nearestRank(n: Int, q: Double): Int = math.min(n - 1, math.max(0, math.ceil(q * n).toInt - 1))
 }

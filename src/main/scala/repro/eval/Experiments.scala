@@ -22,17 +22,20 @@ object Experiments {
     def n(x: Int) = math.max(100, (x * scale).toInt)
     val gpsW = TimeSeriesGen.gpsWalk(n(11000))
     val gpsM = TimeSeriesGen.gpsMixed(n(8000))
+    val ild = TimeSeriesGen.ild(n(43000))
+    def labelled(name: String, dims: Int, sets: Seq[TimeSeriesGen.LabeledSeries]) =
+      DatasetInfo(name, sets.head.points.length, dims, "Clean", sets.size)
     Seq(
       DatasetInfo("Stock", TimeSeriesGen.stock(n(12000)).length, 1, "Clean", 1),
-      DatasetInfo("ILD", TimeSeriesGen.ild(n(43000)).length, TimeSeriesGen.ild(100)(0).dim, "Clean after pre-process", 1),
+      DatasetInfo("ILD", ild.length, ild(0).dim, "Clean after pre-process", 1),
       DatasetInfo("Tao", TimeSeriesGen.tao(n(568000)).length, 3, "Clean after pre-process", 1),
       DatasetInfo("ECG", TimeSeriesGen.ecg(n(94000), 32).length, 32, "Clean after pre-process", 1),
       DatasetInfo("GPS(Walk)", gpsW.dirty.length, 2, "Embedded", 1),
       DatasetInfo("GPS(Mixed)", gpsM.dirty.length, 2, "Embedded", 1),
-      DatasetInfo("ArrowHead", TimeSeriesGen.arrowHead().head.points.length, 1, "Clean", TimeSeriesGen.arrowHead().size),
-      DatasetInfo("AtrialFib", TimeSeriesGen.atrialFib().head.points.length, 2, "Clean", TimeSeriesGen.atrialFib().size),
-      DatasetInfo("DSR", TimeSeriesGen.dsr().head.points.length, 1, "Clean", TimeSeriesGen.dsr().size),
-      DatasetInfo("SWJ", TimeSeriesGen.swj().head.points.length, 4, "Clean", TimeSeriesGen.swj().size),
+      labelled("ArrowHead", 1, TimeSeriesGen.arrowHead()),
+      labelled("AtrialFib", 2, TimeSeriesGen.atrialFib()),
+      labelled("DSR", 1, TimeSeriesGen.dsr()),
+      labelled("SWJ", 4, TimeSeriesGen.swj()),
     )
   }
 
@@ -73,8 +76,7 @@ object Experiments {
     */
   def runLocal(cleaners: Seq[Cleaner], dirty: Array[TimePoint],
                truth: Array[TimePoint]): Seq[ResultRow] = {
-    val dirtyRow = ResultRow("Dirty", Metrics.rmse(dirty, truth), 0.0, 0, 0.0, 0)
-    dirtyRow +: cleaners.map { c =>
+    Harness.dirtyRow(dirty, truth) +: cleaners.map { c =>
       val (out, ms) = Metrics.timed(c.clean(dirty))
       Harness.score(c.name, out, dirty, truth, ms)
     }
@@ -94,49 +96,44 @@ object Experiments {
     }
   }
 
+  /** One sweep point: per seed, inject `rate` of `pattern` into `truth`
+    * and clean it locally with fresh `cleaners`; rows averaged over seeds.
+    */
+  private def sweepRow(x: Double, truth: Array[TimePoint], rate: Double, pattern: ErrorInjector.Pattern,
+                       seeds: Seq[Long], cleaners: => Seq[Cleaner]): SweepRow =
+    SweepRow(x, averageRows(seeds.map { seed =>
+      val dirty = ErrorInjector.inject(truth, rate, pattern, seed)
+      runLocal(cleaners, dirty, truth)
+    }))
+
   /** Error-rate sweep on a clean series (Figures 5/6/8/9 shape). */
   def errorRateSweep(truth: Array[TimePoint], rates: Seq[Double],
                      pattern: ErrorInjector.Pattern, seeds: Seq[Long],
                      mkCleaners: (Harness.Config, Array[TimePoint]) => Seq[Cleaner],
                      w: Double = 5.0): Seq[SweepRow] = {
     val cfg = Harness.configFrom(truth, w)
-    rates.map { rate =>
-      val perSeed = seeds.map { seed =>
-        val dirty = ErrorInjector.inject(truth, rate, pattern, seed)
-        runLocal(mkCleaners(cfg, truth), dirty, truth)
-      }
-      SweepRow(rate, averageRows(perSeed))
-    }
+    rates.map(rate => sweepRow(rate, truth, rate, pattern, seeds, mkCleaners(cfg, truth)))
   }
 
   /** Data-size sweep at a fixed error rate (Figures 7/10/11 shape). */
   def dataSizeSweep(mkTruth: Int => Array[TimePoint], sizes: Seq[Int], rate: Double,
                     pattern: ErrorInjector.Pattern, seeds: Seq[Long],
                     mkCleaners: (Harness.Config, Array[TimePoint]) => Seq[Cleaner],
-                    w: Double = 5.0): Seq[SweepRow] = {
+                    w: Double = 5.0): Seq[SweepRow] =
     sizes.map { size =>
       val truth = mkTruth(size)
       val cfg = Harness.configFrom(truth, w)
-      val perSeed = seeds.map { seed =>
-        val dirty = ErrorInjector.inject(truth, rate, pattern, seed)
-        runLocal(mkCleaners(cfg, truth), dirty, truth)
-      }
-      SweepRow(size.toDouble, averageRows(perSeed))
+      sweepRow(size.toDouble, truth, rate, pattern, seeds, mkCleaners(cfg, truth))
     }
-  }
 
   /** Dimension sweep on ECG (Figure 13 shape). */
-  def dimensionSweep(n: Int, dims: Seq[Int], rate: Double, seeds: Seq[Long]): Seq[SweepRow] = {
+  def dimensionSweep(n: Int, dims: Seq[Int], rate: Double, seeds: Seq[Long]): Seq[SweepRow] =
     dims.map { d =>
       val truth = TimeSeriesGen.ecg(n, d)
       val cfg = Harness.configFrom(truth, w = 5.0)
-      val perSeed = seeds.map { seed =>
-        val dirty = ErrorInjector.inject(truth, rate, ErrorInjector.Together, seed)
-        runLocal(Seq(MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc)), dirty, truth)
-      }
-      SweepRow(d.toDouble, averageRows(perSeed))
+      sweepRow(d.toDouble, truth, rate, ErrorInjector.Together, seeds,
+        Seq(MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc)))
     }
-  }
 
   /** Figure 14 shape — GPS(Mixed) with three initial speed settings:
     * MTCSC-A re-captures the constraint, fixed-constraint methods suffer.
@@ -144,7 +141,6 @@ object Experiments {
   def adaptiveTransportation(n: Int = 8000): Seq[(String, Seq[ResultRow])] = {
     val DT = TimeSeriesGen.gpsMixed(n)
     val w = 10.0
-    val uniScs = Harness.configFrom(DT.truth, w).uniScs
     Seq("walking" -> 1.6, "running" -> 3.33, "cycling" -> 5.0).map { case (mode, s0) =>
       val sc = SpeedConstraint(s0, w)
       val cleaners = Seq[Cleaner](

@@ -63,12 +63,14 @@ object Harness {
     ResultRow(name, Metrics.rmse(repaired, truth), Metrics.repairDistance(repaired, dirty),
       Metrics.repairCount(repaired, dirty), Metrics.repairFraction(repaired, dirty), ms)
 
+  /** The Dirty row of a table: the input scored as its own repair. */
+  def dirtyRow(dirty: Array[TimePoint], truth: Array[TimePoint]): ResultRow =
+    ResultRow("Dirty", Metrics.rmse(dirty, truth), 0.0, 0, 0.0, 0)
+
   /** Run a whole method zoo; prepends the Dirty row (no repair). */
   def runAll(spark: SparkSession, cleaners: Seq[Cleaner],
-             dirty: Array[TimePoint], truth: Array[TimePoint]): Seq[ResultRow] = {
-    val dirtyRow = ResultRow("Dirty", Metrics.rmse(dirty, truth), 0.0, 0, 0.0, 0)
-    dirtyRow +: cleaners.map(c => run(spark, c, dirty, truth))
-  }
+             dirty: Array[TimePoint], truth: Array[TimePoint]): Seq[ResultRow] =
+    dirtyRow(dirty, truth) +: cleaners.map(c => run(spark, c, dirty, truth))
 
   def formatTable(title: String, rows: Seq[ResultRow]): String = {
     val header = f"${"method"}%-10s ${"RMSE"}%8s ${"repairDist"}%10s ${"repairNum"}%15s ${"time"}%11s"

@@ -38,11 +38,6 @@ object SparkCleaner {
   private[spark] final case class Block(seriesId: Long, t: Array[Double], v: Array[Double]) {
     def dim: Int = if (t.isEmpty) 0 else v.length / t.length
 
-    def points: Array[TimePoint] = {
-      val d = dim
-      Array.tabulate(t.length)(i => TimePoint(t(i), java.util.Arrays.copyOfRange(v, i * d, i * d + d)))
-    }
-
     def rows: Iterator[SeriesRow] = {
       val d = dim
       Iterator.tabulate(t.length)(i =>
@@ -171,11 +166,12 @@ object SparkCleaner {
   /** One row of [[violations]]. */
   private[spark] final case class Violation(series_id: Long, t: Double, speed: Double, violation: Int)
 
-  /** Every batch op encodes blocks with Kryo: Spark's product encoder
-    * decodes an `Array[Double]` field one boxed element at a time.
+  /** Every op, batch and streaming, encodes blocks with Kryo: Spark's
+    * product encoder decodes an `Array[Double]` field one boxed element
+    * at a time.
     */
-  private val blockEncoder: Encoder[Block] = Encoders.kryo[Block]
-  private val rowEncoder: Encoder[SeriesRow] = Encoders.product[SeriesRow]
+  private[spark] val blockEncoder: Encoder[Block] = Encoders.kryo[Block]
+  private[spark] val rowEncoder: Encoder[SeriesRow] = Encoders.product[SeriesRow]
   private val violationEncoder: Encoder[Violation] = Encoders.product[Violation]
 
   /** Lift in-memory series into a Dataset[SeriesRow]: [[Block.slices]] as

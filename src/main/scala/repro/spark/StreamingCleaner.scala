@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{Dataset, Encoders}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.{MtcscL, SeriesRow, SpeedConstraint, TimePoint}
-import repro.spark.SparkCleaner.Block
+import repro.spark.SparkCleaner.{Block, blockEncoder, rowEncoder}
 
 /** Structured Streaming execution of MTCSC-L (Algorithm 2): a stateful
   * per-series operator that emits each point's repair as soon as it is
@@ -42,20 +42,16 @@ object StreamingCleaner {
   }
 
   /** Wire [[advance]] into flatMapGroupsWithState. */
-  def clean(ds: Dataset[SeriesRow], sc: SpeedConstraint): Dataset[SeriesRow] = {
-    implicit val rowEnc = Encoders.product[SeriesRow]
-    implicit val stateEnc = Encoders.product[Block]
-    import ds.sparkSession.implicits._
-    ds.groupByKey(_.seriesId)
+  def clean(ds: Dataset[SeriesRow], sc: SpeedConstraint): Dataset[SeriesRow] =
+    ds.groupByKey(_.seriesId)(Encoders.scalaLong)
       .flatMapGroupsWithState(OutputMode.Append(), GroupStateTimeout.NoTimeout)(
         (id: Long, rows: Iterator[SeriesRow], state: GroupState[Block]) => {
-          val held = state.getOption.fold(Array.empty[TimePoint])(_.points)
+          val held = Block.merge(state.getOption)
           val arrived = SeriesRow.toPoints(rows.toSeq)
           val (emitted, prev, pending) =
             advance(sc, held.headOption, held.drop(1).toVector ++ arrived, endOfStream = false)
           state.update(Block.of(id, (prev ++: pending).toArray))
           SeriesRow.fromPoints(id, emitted.toArray).iterator
         }
-      )
-  }
+      )(blockEncoder, rowEncoder)
 }

@@ -112,6 +112,12 @@ class KernelDifferentialSpec extends AnyFunSuite {
       assertSame(a.clean(c.xs), want, s"$c $a")
     }
     assert(recaptures > 500, s"only $recaptures recaptures fired")
+    // The paper's defaults (m = 150) on GPS(Mixed), from walking speed.
+    val gps = TimeSeriesGen.gpsMixed(8000)
+    val paper = MtcscA(SpeedConstraint(1.6, 10.0))
+    val (want, changes) = Reference.cleanA(gps.dirty, paper)
+    assert(changes > 0, "no recapture fired at m = 150")
+    assertSame(paper.clean(gps.dirty), want, paper)
   }
 
   test("MTCSC-Uni repairs are bit-identical to reference MTCSC-C per dimension") {
