@@ -30,9 +30,23 @@ object PerDim {
   def captureSpeeds(xs: Array[TimePoint], w: Double, percentile: Double = 0.95,
                     slack: Double = 1.0): Array[SpeedConstraint] = {
     val d = xs(0).dim
+    // Which pairs have dt > 0 (the `consecutiveSpeeds` rule) depends on
+    // the timestamps only, so one buffer of that size serves every
+    // dimension, refilled with its speeds: `TimePoint.dist` / dt at D = 1.
+    val speeds = new Array[Double]((1 until xs.length).count(i => xs(i).t - xs(i - 1).t > 0))
     Array.tabulate(d) { l =>
-      val uni = xs.map(p => TimePoint.uni(p.t, p.v(l)))
-      SpeedConstraint.capture(uni, w, percentile, slack)
+      var j = 0
+      var i = 1
+      while (i < xs.length) {
+        val dt = xs(i).t - xs(i - 1).t
+        if (dt > 0) {
+          val dv = xs(i).v(l) - xs(i - 1).v(l)
+          speeds(j) = math.sqrt(dv * dv) / dt
+          j += 1
+        }
+        i += 1
+      }
+      SpeedConstraint.fromSpeeds(speeds, w, percentile, slack)
     }
   }
 

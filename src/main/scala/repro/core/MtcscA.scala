@@ -28,8 +28,8 @@ final case class MtcscA(
     var k = 1
     while (k < xs.length) {
       val s = state.update(xs(k - 1), xs(k), sc.s)
-      if (s != sc.s) sc = SpeedConstraint(s, initial.w)
-      MtcscC.step(out, xs, k, sc, scratch)
+      if (s != sc.s) { sc = SpeedConstraint(s, initial.w); scratch.reset() }
+      MtcscC.step(out, xs, k, xs.length, sc, scratch, closed = true)
       k += 1
     }
     out
@@ -47,7 +47,7 @@ object MtcscA {
     * counts of each are kept up to date as one speed enters W2, one moves
     * from W2 to W1 and one leaves W1; they are recounted only when `s`
     * differs from the `s` they were counted under. A recapture copies W2
-    * out of the ring and takes its percentile with
+    * out of the ring into one buffer and selects its percentile there with
     * [[SpeedConstraint.quantile]], the rule [[SpeedConstraint.capture]]
     * applies.
     */

@@ -29,27 +29,44 @@ object MtcscC {
   private final val OMIT = -2
   private final val HEAD = -1
 
-  /** Reusable BuildCluster arrays, indexed relative to the window start:
-    * the cluster flags, and for each head the size of its cluster. They
-    * grow to the longest window seen; one instance serves a whole series
-    * (and, in MTCSC-Uni, every dimension).
+  /** The state of one run of `step` over one series under one constraint.
+    *
+    * BuildCluster's arrays, indexed relative to the window start: the
+    * cluster flags, and for each head the size of its cluster. They grow
+    * to the longest window seen; one instance serves a whole series (and,
+    * in MTCSC-Uni, every dimension).
+    *
+    * The sliding window: `end`, one past the last raw point of the
+    * previous step's window, and `broken`, the last index i < `end` whose
+    * raw pair (xs(i-1), xs(i)) fails the speed test. Each pair is tested
+    * once, when `end` passes it. Both belong to the series and the
+    * constraint the run started with, so `reset` must be called whenever
+    * either changes. The state is never keyed on their identity: MTCSC-Uni
+    * refills one buffer for every dimension and may pass one constraint
+    * object for all of them.
     */
   final class Scratch {
     private[MtcscC] var flags = new Array[Int](16)
     private[MtcscC] var sizes = new Array[Int](16)
+    private[MtcscC] var end = 0
+    private[MtcscC] var broken = -1
 
     private[MtcscC] def ensure(n: Int): Unit = if (flags.length < n) {
       val cap = math.max(n, 2 * flags.length)
       flags = new Array[Int](cap)
       sizes = new Array[Int](cap)
     }
+
+    /** Forgets the window: the next step scans it from its key point. */
+    def reset(): Unit = { end = 0; broken = -1 }
   }
 
   /** Algorithm 4 over a whole series: repairs `out` (a copy of `xs`) in place. */
   def run(out: Array[TimePoint], xs: Array[TimePoint], sc: SpeedConstraint, scratch: Scratch): Unit = {
+    scratch.reset()
     var k = 1
     while (k < xs.length) {
-      step(out, xs, k, sc, scratch)
+      step(out, xs, k, xs.length, sc, scratch, closed = true)
       k += 1
     }
   }
@@ -107,15 +124,34 @@ object MtcscC {
     from + best
   }
 
-  /** One Algorithm 4 iteration for key point k; repairs out(k) in place.
-    * Factored out so MTCSC-A can reuse it with an evolving constraint.
+  /** One Algorithm 4 iteration for key point k: repairs out(k) in place
+    * from the previous repair `out(k-1)` and the raw successors
+    * `xs[k+1, n)`, with one `scratch` per run (see [[Scratch]]). Shared
+    * by C, A and Uni. The window is known once a raw point with
+    * t > t_k + w has arrived; until then, unless `closed`, a point may
+    * still join it, so `out(k)` is left as is and the result is false.
+    *
+    * When the window is non-empty, none of its raw consecutive pairs
+    * breaks the constraint and its first point is compatible with
+    * `out(k-1)`, BuildCluster puts every point into the first point's
+    * cluster (each joins through its predecessor, Action 1), so the head
+    * is k+1 and the clusters are not built.
     */
-  def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, sc: SpeedConstraint,
-           scratch: Scratch): Unit = {
-    val n = xs.length
-    var end = k + 1
-    while (end < n && xs(end).t <= xs(k).t + sc.w) end += 1
-    val rep = largestClusterHead(out(k - 1), xs, k + 1, end, sc, scratch)
+  def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int, sc: SpeedConstraint,
+           scratch: Scratch, closed: Boolean): Boolean = {
+    val last = xs(k).t + sc.w
+    var end = math.max(scratch.end, k + 1)
+    var broken = scratch.broken
+    while (end < n && xs(end).t <= last) {
+      if (!sc.speedOk(xs(end), xs(end - 1))) broken = end
+      end += 1
+    }
+    scratch.end = end
+    scratch.broken = broken
+    if (end == n && !closed) return false
+    val rep =
+      if (end > k + 1 && broken <= k + 1 && sc.speedOk(out(k - 1), xs(k + 1))) k + 1
+      else largestClusterHead(out(k - 1), xs, k + 1, end, sc, scratch)
     if (rep >= 0) {
       if (!(sc.speedOk(out(k - 1), xs(k)) && sc.speedOk(xs(k), xs(rep))))
         TimePoint.interpolate(out(k), out(k - 1), xs(rep))
@@ -136,5 +172,6 @@ object MtcscC {
         l += 1
       }
     }
+    true
   }
 }

@@ -33,8 +33,13 @@ object SpeedConstraint {
     * — widened by a `slack` factor.
     */
   def capture(xs: Array[TimePoint], w: Double, percentile: Double = 0.95,
-              slack: Double = 1.0): SpeedConstraint = {
-    val speeds = consecutiveSpeeds(xs)
+              slack: Double = 1.0): SpeedConstraint =
+    fromSpeeds(consecutiveSpeeds(xs), w, percentile, slack)
+
+  /** The capture rule over speeds already computed, which it permutes
+    * (see [[quantile]]).
+    */
+  def fromSpeeds(speeds: Array[Double], w: Double, percentile: Double, slack: Double): SpeedConstraint = {
     require(speeds.nonEmpty, "need at least two points to capture a speed constraint")
     SpeedConstraint(floorSpeed(quantile(speeds, percentile) * slack), w)
   }
@@ -57,11 +62,56 @@ object SpeedConstraint {
     out.result()
   }
 
-  /** Nearest-rank quantile over a non-empty sample; sorts a copy. */
+  /** Nearest-rank quantile over a non-empty sample: the element at index
+    * ceil(q·n) − 1 (clamped to [0, n)) of the sample sorted by
+    * `java.lang.Double.compare`, the order of `java.util.Arrays.sort`.
+    * Selects it in place in expected linear time and PERMUTES `sample`:
+    * pass an array the caller owns and no longer needs in its order.
+    */
   def quantile(sample: Array[Double], q: Double): Double = {
     require(sample.nonEmpty)
-    val sorted = sample.clone()
-    java.util.Arrays.sort(sorted)
-    sorted(math.min(sorted.length - 1, math.max(0, math.ceil(q * sorted.length).toInt - 1)))
+    val n = sample.length
+    select(sample, math.min(n - 1, math.max(0, math.ceil(q * n).toInt - 1)),
+      2 * (32 - Integer.numberOfLeadingZeros(n)))
+  }
+
+  /** Hoare's FIND: partitions `a` around a median-of-three pivot until the
+    * r-th smallest element sits at `a(r)`, and returns it. After `rounds`
+    * partitions (`quantile` allows about 2·log2(n)) it sorts the remaining
+    * range instead, so an adversarial input costs O(n log n), not O(n²).
+    */
+  private[core] def select(a: Array[Double], r: Int, rounds: Int): Double = {
+    import java.lang.Double.compare
+    var lo = 0
+    var hi = a.length - 1
+    var left = rounds
+    while (lo < hi) {
+      if (left == 0) {
+        java.util.Arrays.sort(a, lo, hi + 1)
+        return a(r)
+      }
+      left -= 1
+      val x = {
+        val p = a(lo); val m = a((lo + hi) >>> 1); val q = a(hi)
+        if (compare(p, m) < 0) { if (compare(m, q) < 0) m else if (compare(p, q) < 0) q else p }
+        else if (compare(p, q) < 0) p else if (compare(m, q) < 0) q else m
+      }
+      // Afterwards a[lo, j] <= x <= a[i, hi], and any slot between holds x.
+      var i = lo
+      var j = hi
+      while (i <= j) {
+        while (compare(a(i), x) < 0) i += 1
+        while (compare(x, a(j)) < 0) j -= 1
+        if (i <= j) {
+          val t = a(i); a(i) = a(j); a(j) = t
+          i += 1
+          j -= 1
+        }
+      }
+      if (r <= j) hi = j
+      else if (r >= i) lo = i
+      else return a(r)
+    }
+    a(r)
   }
 }

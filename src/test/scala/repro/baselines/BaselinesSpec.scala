@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{SpeedConstraint, TimePoint}
+import repro.data.TimeSeriesGen
 import repro.eval.Metrics
 
 /** Sanity behaviour of every competitor implementation. */
@@ -51,6 +52,22 @@ class BaselinesSpec extends AnyFunSuite {
     val pts = Array.tabulate(100)(i => TimePoint(i.toDouble, Array(i * 1.0, i * 3.0)))
     val scs = PerDim.captureSpeeds(pts, w = 5)
     assert(scs.length == 2 && scs(1).s > scs(0).s * 2)
+  }
+
+  test("captureSpeeds equals capture over one univariate copy per dimension") {
+    def viaCopies(xs: Array[TimePoint], w: Double, p: Double, slack: Double) =
+      Array.tabulate(xs(0).dim)(l => SpeedConstraint.capture(xs.map(q => TimePoint.uni(q.t, q.v(l))), w, p, slack))
+    val rnd = new java.util.Random(17)
+    val random = Seq.fill(40) {
+      var t = 0.0
+      val d = 1 + rnd.nextInt(4)
+      Array.fill(2 + rnd.nextInt(300)) {
+        if (rnd.nextDouble() > 0.2) t += rnd.nextDouble() * 3 // some duplicate timestamps
+        TimePoint(t, Array.fill(d)(if (rnd.nextDouble() < 0.1) 0.0 else rnd.nextGaussian() * 5))
+      }
+    }.filter(xs => xs.last.t > xs.head.t)
+    for (xs <- TimeSeriesGen.tao(20000) +: random; (p, slack) <- Seq((0.95, 1.0), (0.99, 1.15), (0.5, 1.0)))
+      assert(PerDim.captureSpeeds(xs, 10, p, slack).toSeq == viaCopies(xs, 10, p, slack).toSeq, s"n=${xs.length}")
   }
 
   // ----------------------------------------------------------- SpeedAcc

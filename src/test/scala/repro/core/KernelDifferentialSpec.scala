@@ -98,6 +98,41 @@ class KernelDifferentialSpec extends AnyFunSuite {
     }
   }
 
+  test("MTCSC-C's step decides a point only once its window has closed; finished prefixes equal batch") {
+    val g = for { c <- caseGen; cut <- Gen.choose(1, c.xs.length); mid <- Gen.choose(cut, c.xs.length) } yield (c, cut, mid)
+    forAllSampled(g, 500) { case (c, cut, mid) =>
+      val (xs, sc) = (c.xs, c.sc)
+      val clue = s"$c cut=$cut mid=$mid"
+      def closedAt(k: Int, n: Int) = (k + 1 until n).exists(i => xs(i).t > xs(k).t + sc.w)
+      val batch = MtcscC(sc).clean(xs)
+      // Only xs[0, cut) has arrived: step until the first open window.
+      def open(): (Array[TimePoint], MtcscC.Scratch, Int) = {
+        val out = TimePoint.copyOf(xs)
+        val scratch = new MtcscC.Scratch
+        var k = 1
+        while (k < cut && MtcscC.step(out, xs, k, cut, sc, scratch, closed = false)) {
+          assert(closedAt(k, cut), s"$clue: point $k decided with its window open")
+          assertSame(Array(out(k)), Array(batch(k)), s"$clue: decided point $k")
+          k += 1
+        }
+        if (k < cut) assert(!closedAt(k, cut), s"$clue: point $k held with its window closed")
+        for (i <- k until xs.length) assertSame(Array(out(i)), Array(xs(i)), s"$clue: held point $i")
+        (out, scratch, k)
+      }
+      // The stream ends at the cut: closing it equals batch C on the prefix.
+      val (atCut, s1, k1) = open()
+      for (k <- k1 until cut) assert(MtcscC.step(atCut, xs, k, cut, sc, s1, closed = true))
+      assertSame(atCut.take(cut), MtcscC(sc).clean(xs.take(cut)), s"$clue: closed at the cut")
+      // More points arrive, up to `mid` and then the rest, and the stream
+      // closes: the same state carries on to batch C on the whole series.
+      val (grown, s2, k2) = open()
+      var k = k2
+      while (k < mid && MtcscC.step(grown, xs, k, mid, sc, s2, closed = false)) k += 1
+      while (k < xs.length) { assert(MtcscC.step(grown, xs, k, xs.length, sc, s2, closed = true)); k += 1 }
+      assertSame(grown, batch, s"$clue: grown to the whole series")
+    }
+  }
+
   test("MTCSC-A repairs are bit-identical to the reference state, recaptures included") {
     val g = for {
       c <- caseGen
@@ -130,6 +165,33 @@ class KernelDifferentialSpec extends AnyFunSuite {
     }
   }
 
+  test("MTCSC-Uni with one constraint object for every dimension equals MTCSC-C per dimension") {
+    // Uni refills one buffer and hands each dimension the same object
+    // here, so C's window state must be reset by the run, not keyed on
+    // the identity of the series or the constraint.
+    forAllSampled(caseGen, 300) { c =>
+      val d = c.xs(0).dim
+      val got = MtcscUni(Array.fill(d)(c.sc)).clean(c.xs)
+      for (l <- 0 until d) {
+        val want = MtcscC(c.sc).clean(c.xs.map(p => TimePoint.uni(p.t, p.v(l))))
+        assertSame(got.map(p => TimePoint.uni(p.t, p.v(l))), want, s"$c dimension $l")
+      }
+    }
+  }
+
+  test("MTCSC-A equals the reference when KL fires often (m = 20, tau = 0.1, gpsWalk)") {
+    // Every recapture swaps the constraint under C's window state. At
+    // beta = 1 a recaptured s sits inside the walking speeds, so pairs
+    // tested under the old s would mislead the new one without a reset.
+    val gps = TimeSeriesGen.gpsWalk(11000, seed = 29)
+    for (beta <- Seq(0.75, 1.0)) {
+      val a = MtcscA(SpeedConstraint(1.6, 30.0), m = 20, tau = 0.1, beta = beta)
+      val (want, changes) = Reference.cleanA(gps.dirty, a)
+      assert(changes > 300, s"only $changes recaptures")
+      assertSame(a.clean(gps.dirty), want, a)
+    }
+  }
+
   test("all kernels match the reference on TAO with Together errors at 10% and 50%") {
     val truth = TimeSeriesGen.tao(3000, seed = 5)
     val cfg = Harness.configFrom(truth, w = 10)
@@ -142,5 +204,17 @@ class KernelDifferentialSpec extends AnyFunSuite {
       assertSame(a.clean(dirty), Reference.cleanA(dirty, a)._1, s"A $rate")
       assertSame(MtcscUni(cfg.uniScs).clean(dirty), Reference.cleanUni(dirty, cfg.uniScs), s"Uni $rate")
     }
+  }
+
+  test("C, A and Uni match the reference on gpsWalk 200k at w = 30") {
+    // C's clean-window shortcut takes about 91% of the steps here, and
+    // about 34% on TAO with 10% Together errors.
+    val gps = TimeSeriesGen.gpsWalk(200000, seed = 7)
+    val sc = SpeedConstraint(1.6, 30.0)
+    val uniScs = Harness.configFrom(gps.truth, w = 30).uniScs
+    assertSame(MtcscC(sc).clean(gps.dirty), Reference.cleanC(gps.dirty, sc), "C gpsWalk")
+    val a = MtcscA(sc)
+    assertSame(a.clean(gps.dirty), Reference.cleanA(gps.dirty, a)._1, "A gpsWalk")
+    assertSame(MtcscUni(uniScs).clean(gps.dirty), Reference.cleanUni(gps.dirty, uniScs), "Uni gpsWalk")
   }
 }

@@ -104,6 +104,49 @@ class SpeedConstraintSpec extends AnyFunSuite {
     assert(SpeedConstraint.quantile(Array(1.0, 2.0), 1.0) == 2.0)
   }
 
+  /** The nearest rank of a sorted copy, which `quantile` must return. */
+  private def sortedRank(sample: Array[Double], q: Double): Double = {
+    val sorted = sample.clone()
+    java.util.Arrays.sort(sorted)
+    sorted(math.min(sorted.length - 1, math.max(0, math.ceil(q * sorted.length).toInt - 1)))
+  }
+
+  test("quantile selects the sort-based nearest rank, bit for bit") {
+    val rnd = new java.util.Random(41)
+    val qs = Seq(0.0, 0.5, 0.95, 0.99, 1.0)
+    val shapes: Seq[(String, Int => Array[Double])] = Seq(
+      "uniform" -> (n => Array.fill(n)(rnd.nextDouble() * 10)),
+      "heavy ties" -> (n => Array.fill(n)(rnd.nextInt(4).toDouble)),
+      "signed zeros" -> (n => Array.fill(n)(rnd.nextInt(3) match { case 0 => -0.0; case 1 => 0.0; case _ => rnd.nextGaussian() })),
+      "sorted" -> (n => Array.tabulate(n)(_ * 0.5)),
+      "reversed" -> (n => Array.tabulate(n)(i => (n - i) * 0.5)),
+      "all equal" -> (n => Array.fill(n)(2.5)),
+      "organ pipe" -> (n => Array.tabulate(n)(i => math.min(i, n - i).toDouble)))
+    val sizes = (1 to 40) ++ Seq(99, 150, 151, 1000, 4999, 5000) ++ Seq.fill(20)(1 + rnd.nextInt(5000))
+    for ((shape, gen) <- shapes; n <- sizes; q <- qs) {
+      val sample = gen(n)
+      val want = sortedRank(sample, q)
+      val permuted = sample.clone()
+      val got = SpeedConstraint.quantile(permuted, q)
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want),
+        s"$shape n=$n q=$q: $got, sorted rank $want")
+      // It permutes the sample in place: the same multiset comes back.
+      java.util.Arrays.sort(permuted)
+      java.util.Arrays.sort(sample)
+      assert(java.util.Arrays.equals(permuted, sample), s"$shape n=$n q=$q")
+    }
+  }
+
+  test("select falls back to sorting the remaining range after its round budget") {
+    val rnd = new java.util.Random(43)
+    for (rounds <- 0 to 4; n <- Seq(1, 2, 3, 17, 150, 1000); _ <- 0 until 5) {
+      val sample = Array.fill(n)(rnd.nextInt(50) - 25.0)
+      val r = rnd.nextInt(n)
+      val sorted = sample.sorted
+      assert(SpeedConstraint.select(sample, r, rounds) == sorted(r), s"rounds=$rounds n=$n r=$r")
+    }
+  }
+
   test("constraint requires positive s and w") {
     intercept[IllegalArgumentException](SpeedConstraint(0.0, 1.0))
     intercept[IllegalArgumentException](SpeedConstraint(1.0, 0.0))
