@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines._
 import repro.core._
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.{Experiments, Harness}
@@ -12,6 +11,10 @@ import repro.eval.{Experiments, Harness}
 class MultivariateBench extends AnyFunSuite {
 
   private val seeds = Seq(1L, 2L)
+
+  /** The registry's methods with these names, in registry order. */
+  private def zoo(names: String*)(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] =
+    Harness.methods(cfg, truth).filter(c => names.contains(c.name))
 
   test("Figures 8/9 shape: ILD error-rate sweep, together vs separate") {
     val truth = TimeSeriesGen.ild(20000)
@@ -39,8 +42,7 @@ class MultivariateBench extends AnyFunSuite {
   test("Figure 9(a) shape: high-dimensional ECG, together errors") {
     val truth = TimeSeriesGen.ecg(10000, dims = 16)
     val sweep = Experiments.errorRateSweep(truth, Seq(0.10), ErrorInjector.Together, seeds,
-      (cfg, t) => Seq(MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscUni(cfg.uniScs),
-        Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)), LsGreedy(), Ewma()))
+      zoo("MTCSC-G", "MTCSC-L", "MTCSC-C", "MTCSC-Uni", "SCREEN", "SpeedAcc", "LsGreedy", "EWMA"))
     println(Experiments.formatSweep("ECG-16d, together, e=10%", "e", sweep))
     val by = sweep.head.rows.map(r => r.method -> r).toMap
     assert(by("MTCSC-C").rmse < by("Dirty").rmse)
@@ -68,8 +70,7 @@ class MultivariateBench extends AnyFunSuite {
     val truth = TimeSeriesGen.tao(20000)
     for (pattern <- Seq(ErrorInjector.Together, ErrorInjector.Separate)) {
       val sweep = Experiments.errorRateSweep(truth, Seq(0.10), pattern, seeds,
-        (cfg, t) => Seq(MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc),
-          MtcscUni(cfg.uniScs), Screen(cfg.uniScs), LsGreedy(), Ewma()))
+        zoo("MTCSC-G", "MTCSC-L", "MTCSC-C", "MTCSC-Uni", "SCREEN", "LsGreedy", "EWMA"))
       println(Experiments.formatSweep(s"TAO e=10% ($pattern)", "e", sweep))
       val by = sweep.head.rows.map(r => r.method -> r).toMap
       assert(by("MTCSC-C").rmse < by("Dirty").rmse, s"$pattern")

@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines._
 import repro.core._
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.{Experiments, Harness}
@@ -13,11 +12,9 @@ class UnivariateBench extends AnyFunSuite {
 
   private val seeds = Seq(1L, 2L, 3L)
 
-  private def zoo(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] = Seq(
-    MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc),
-    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)),
-    LsGreedy(), Ewma(), Htd.captureFromTruth(truth, cfg.sc.w),
-    HoloCleanLite(cfg.uniScs), TranAdLite(), CaeMLite())
+  /** The registry without its two multivariate-only entries. */
+  private def zoo(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] =
+    Harness.methods(cfg, truth).filterNot(c => Set("MTCSC-Uni", "RCSWS")(c.name))
 
   test("Figure 5 shape: our proposals on Stock over error rates") {
     val truth = TimeSeriesGen.stock(12000)

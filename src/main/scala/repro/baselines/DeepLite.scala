@@ -17,8 +17,8 @@ import repro.core.{Cleaner, TimePoint}
 final case class TranAdLite(p: Int = 3, lr: Double = 0.05, z: Double = 2.5) extends Cleaner {
   override def name: String = "TranAD"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] =
-    PerDim(xs) { (_, vs, _) => TranAdLite.clean1(vs, p, lr, z) }
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
+    PerDim(xs, out) { (_, vs, _) => TranAdLite.clean1(vs, p, lr, z) }
 }
 
 object TranAdLite {
@@ -62,8 +62,8 @@ object TranAdLite {
 final case class CaeMLite(ridge: Double = 1e-3, z: Double = 3.0) extends Cleaner {
   override def name: String = "CAE-M"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] =
-    PerDim(xs) { (_, vs, _) => CaeMLite.clean1(vs, ridge, z) }
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
+    PerDim(xs, out) { (_, vs, _) => CaeMLite.clean1(vs, ridge, z) }
 }
 
 object CaeMLite {

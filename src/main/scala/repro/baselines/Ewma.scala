@@ -10,8 +10,7 @@ final case class Ewma(lambda: Double = 0.3) extends Cleaner {
   require(lambda > 0 && lambda <= 1)
   override def name: String = "EWMA"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.copyOf(xs)
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
     var k = 1
     while (k < xs.length) {
       var l = 0
@@ -21,6 +20,5 @@ final case class Ewma(lambda: Double = 0.3) extends Cleaner {
       }
       k += 1
     }
-    out
   }
 }

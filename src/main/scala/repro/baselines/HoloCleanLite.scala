@@ -18,8 +18,10 @@ import repro.core.{Cleaner, SpeedConstraint, TimePoint}
 final case class HoloCleanLite(scs: Array[SpeedConstraint], buckets: Int = 50) extends Cleaner {
   override def name: String = "HoloClean"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] =
-    PerDim(xs) { (ts, vs, l) => HoloCleanLite.clean1(ts, vs, scs(l).s, buckets) }
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
+    Cleaner.requirePerDimension(xs, scs.length, "constraint")
+    PerDim(xs, out) { (ts, vs, l) => HoloCleanLite.clean1(ts, vs, scs(l).s, buckets) }
+  }
 }
 
 object HoloCleanLite {

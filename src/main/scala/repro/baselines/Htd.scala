@@ -18,8 +18,10 @@ import repro.core.{Cleaner, SpeedConstraint, TimePoint}
 final case class Htd(scs: Array[SpeedConstraint]) extends Cleaner {
   override def name: String = "HTD"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] =
-    PerDim(xs) { (ts, vs, l) => Htd.clean1(ts, vs, scs(l).s) }
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
+    Cleaner.requirePerDimension(xs, scs.length, "constraint")
+    PerDim(xs, out) { (ts, vs, l) => Htd.clean1(ts, vs, scs(l).s) }
+  }
 }
 
 object Htd {

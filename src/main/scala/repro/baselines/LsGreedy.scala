@@ -19,8 +19,8 @@ import repro.core.{Cleaner, TimePoint}
 final case class LsGreedy(sigmaFactor: Double = 3.0) extends Cleaner {
   override def name: String = "LsGreedy"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] =
-    PerDim(xs) { (ts, vs, _) => LsGreedy.clean1(ts, vs, sigmaFactor) }
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
+    PerDim(xs, out) { (ts, vs, _) => LsGreedy.clean1(ts, vs, sigmaFactor) }
 }
 
 object LsGreedy {

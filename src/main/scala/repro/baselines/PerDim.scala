@@ -7,20 +7,18 @@ import repro.core.{SpeedConstraint, TimePoint}
   */
 object PerDim {
 
-  /** Clean each dimension with `clean1(ts, values, dim)` and reassemble. */
-  def apply(xs: Array[TimePoint])(clean1: (Array[Double], Array[Double], Int) => Array[Double]): Array[TimePoint] = {
-    if (xs.isEmpty) return Array.empty
+  /** Clean each dimension with `clean1(ts, values, dim)` into `out`, a copy of `xs`. */
+  def apply(xs: Array[TimePoint], out: Array[TimePoint])(
+      clean1: (Array[Double], Array[Double], Int) => Array[Double]): Unit = {
+    if (xs.isEmpty) return
     val ts = xs.map(_.t)
-    val d = xs(0).dim
-    val out = TimePoint.copyOf(xs)
     var l = 0
-    while (l < d) {
+    while (l < xs(0).dim) {
       val repaired = clean1(ts, xs.map(_.v(l)), l)
       var i = 0
       while (i < xs.length) { out(i).v(l) = repaired(i); i += 1 }
       l += 1
     }
-    out
   }
 
   /** Per-dimension speed constraints captured at the 95th percentile of

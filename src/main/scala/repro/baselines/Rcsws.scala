@@ -14,10 +14,9 @@ import repro.core.{Cleaner, TimePoint}
 final case class Rcsws(windowSize: Int = 10, c: Double = 4.0) extends Cleaner {
   override def name: String = "RCSWS"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.copyOf(xs)
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
     val n = xs.length
-    if (n == 0) return out
+    if (n == 0) return
     val d = xs(0).dim
     // Warm-up: a window with < windowSize points has a degenerate MAD
     // (often 0), which would flatten the head of the series.
@@ -37,6 +36,5 @@ final case class Rcsws(windowSize: Int = 10, c: Double = 4.0) extends Cleaner {
       }
       k += 1
     }
-    out
   }
 }

@@ -16,8 +16,10 @@ import repro.core.{Cleaner, SpeedConstraint, TimePoint}
 final case class Screen(scs: Array[SpeedConstraint]) extends Cleaner {
   override def name: String = "SCREEN"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] =
-    PerDim(xs) { (ts, vs, l) => Screen.clean1(ts, vs, scs(l).s, scs(l).w) }
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
+    Cleaner.requirePerDimension(xs, scs.length, "constraint")
+    PerDim(xs, out) { (ts, vs, l) => Screen.clean1(ts, vs, scs(l).s, scs(l).w) }
+  }
 }
 
 object Screen {

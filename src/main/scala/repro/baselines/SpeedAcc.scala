@@ -14,8 +14,11 @@ import repro.core.{Cleaner, SpeedConstraint, TimePoint}
 final case class SpeedAcc(scs: Array[SpeedConstraint], accs: Array[Double]) extends Cleaner {
   override def name: String = "SpeedAcc"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] =
-    PerDim(xs) { (ts, vs, l) => SpeedAcc.clean1(ts, vs, scs(l).s, accs(l), scs(l).w) }
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
+    Cleaner.requirePerDimension(xs, scs.length, "constraint")
+    Cleaner.requirePerDimension(xs, accs.length, "acceleration cap")
+    PerDim(xs, out) { (ts, vs, l) => SpeedAcc.clean1(ts, vs, scs(l).s, accs(l), scs(l).w) }
+  }
 }
 
 object SpeedAcc {

@@ -1,18 +1,34 @@
 package repro.core
 
-/** A cleaning method: takes a dirty series (sorted by t), returns a
-  * repaired copy of the same length with identical timestamps.
+/** A cleaning method: takes a dirty series, returns a repaired copy of
+  * the same length with identical timestamps.
   *
-  * Implementations must not mutate the input array or its value vectors.
-  * The MTCSC cleaners check their input while copying it
-  * ([[TimePoint.checkedCopyOf]]) and reject a series outside the contract.
+  * Every method has one input contract: timestamps finite and
+  * non-decreasing (duplicates allowed), values finite, one D for every
+  * point. [[clean]], the one entry, checks it while copying the series
+  * ([[TimePoint.checkedCopyOf]]), rejects a series outside it with an
+  * [[InputContractException]] at the first bad point, and hands the input
+  * and the copy to the method's [[repair]]. The input is never mutated.
   */
 trait Cleaner extends Serializable {
   /** Display name used in result tables (matches the paper's labels). */
   def name: String
 
   /** Repair the series. */
-  def clean(xs: Array[TimePoint]): Array[TimePoint]
+  final def clean(xs: Array[TimePoint]): Array[TimePoint] = {
+    val out = TimePoint.checkedCopyOf(xs)
+    repair(xs, out)
+    out
+  }
+
+  /** Repairs `out`, a checked copy of `xs`, in place; `xs` is read only. */
+  protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit
+}
+
+object Cleaner {
+  /** A per-dimension method takes one `what` per dimension of the series. */
+  def requirePerDimension(xs: Array[TimePoint], count: Int, what: String): Unit =
+    if (xs.nonEmpty) require(count == xs(0).dim, s"need one $what per dimension (${xs(0).dim}), got $count")
 }
 
 object Cleaners {

@@ -20,8 +20,7 @@ final case class MtcscA(
 ) extends Cleaner {
   override def name: String = "MTCSC-A"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.checkedCopyOf(xs)
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
     val state = new MtcscA.AdaptiveState(b, tau, m, beta)
     val scratch = new MtcscC.Scratch
     var sc = initial
@@ -32,7 +31,6 @@ final case class MtcscA(
       MtcscC.step(out, xs, k, xs.length, sc, scratch, closed = true)
       k += 1
     }
-    out
   }
 }
 

@@ -13,11 +13,8 @@ package repro.core
 final case class MtcscC(sc: SpeedConstraint) extends Cleaner {
   override def name: String = "MTCSC-C"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.checkedCopyOf(xs)
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
     MtcscC.run(out, xs, sc, new MtcscC.Scratch)
-    out
-  }
 }
 
 object MtcscC {

@@ -20,11 +20,8 @@ package repro.core
 final case class MtcscG(sc: SpeedConstraint) extends Cleaner {
   override def name: String = "MTCSC-G"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.checkedCopyOf(xs)
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
     if (xs.length > 1) MtcscG.repairInto(out, xs, MtcscG.fixList(xs, sc))
-    out
-  }
 }
 
 object MtcscG {

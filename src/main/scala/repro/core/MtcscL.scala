@@ -12,14 +12,12 @@ package repro.core
 final case class MtcscL(sc: SpeedConstraint) extends Cleaner {
   override def name: String = "MTCSC-L"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.checkedCopyOf(xs)
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
     var k = 1
     while (k < xs.length) {
       MtcscL.step(out, xs, k, xs.length, sc, closed = true)
       k += 1
     }
-    out
   }
 }
 

@@ -7,18 +7,15 @@ package repro.core
 final case class MtcscUni(scs: Array[SpeedConstraint]) extends Cleaner {
   override def name: String = "MTCSC-Uni"
 
-  override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
-    val out = TimePoint.checkedCopyOf(xs)
-    if (xs.isEmpty) return out
-    val d = xs(0).dim
-    require(scs.length == d, s"need one constraint per dimension ($d), got ${scs.length}")
+  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
+    Cleaner.requirePerDimension(xs, scs.length, "constraint")
     // One univariate input and output series and one scratch, refilled
     // for every dimension and run through the shared MTCSC-C kernel.
     val uni = xs.map(p => TimePoint.uni(p.t, 0.0))
     val uniOut = xs.map(p => TimePoint.uni(p.t, 0.0))
     val scratch = new MtcscC.Scratch
     var l = 0
-    while (l < d) {
+    while (l < scs.length) {
       var i = 0
       while (i < xs.length) { uni(i).v(0) = xs(i).v(l); uniOut(i).v(0) = xs(i).v(l); i += 1 }
       MtcscC.run(uniOut, uni, scs(l), scratch)
@@ -26,6 +23,5 @@ final case class MtcscUni(scs: Array[SpeedConstraint]) extends Cleaner {
       while (i < xs.length) { out(i).v(l) = uniOut(i).v(0); i += 1 }
       l += 1
     }
-    out
   }
 }

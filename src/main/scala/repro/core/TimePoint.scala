@@ -58,7 +58,8 @@ object TimePoint {
   /** Deep copy of a series that also checks the cleaners' input contract
     * in the same pass: timestamps finite and non-decreasing (duplicates
     * are allowed), values finite, and every point of the first point's
-    * dimension. Throws IllegalArgumentException naming the first bad index.
+    * dimension. Throws an [[InputContractException]] naming the first bad
+    * index.
     */
   def checkedCopyOf(xs: Array[TimePoint]): Array[TimePoint] = {
     val out = new Array[TimePoint](xs.length)
@@ -97,8 +98,25 @@ object TimePoint {
         val l = p.v.indexWhere(x => !java.lang.Double.isFinite(x))
         s"value ${p.v(l)} in dimension $l is not finite"
       }
-    throw new IllegalArgumentException(s"point $i (t = ${p.t}): $why")
+    throw new InputContractException(i, p.t, why, None)
   }
+}
+
+/** A series outside the cleaners' input contract: point `index`, at time
+  * `t`, breaks it for `reason`. `series` names the series where it is
+  * known; [[InputContractException.inSeries]] adds it. The one place that
+  * builds the message: `point i (t = …): why`, after `series S, ` when the
+  * series is known.
+  */
+final class InputContractException(val index: Int, val t: Double, val reason: String, val series: Option[Long])
+    extends IllegalArgumentException(series.fold("")(id => s"series $id, ") + s"point $index (t = $t): $reason")
+
+object InputContractException {
+  /** Evaluates `body`, rethrowing a contract error it raises with series `id` named. */
+  def inSeries[A](id: Long)(body: => A): A =
+    try body catch {
+      case e: InputContractException => throw new InputContractException(e.index, e.t, e.reason, Some(id)).initCause(e)
+    }
 }
 
 /** Spark-facing row for one observation of one series.

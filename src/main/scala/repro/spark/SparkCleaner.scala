@@ -5,7 +5,7 @@ import scala.collection.mutable.ArrayBuilder
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
-import repro.core.{Cleaner, SeriesRow, TimePoint}
+import repro.core.{Cleaner, InputContractException, SeriesRow, TimePoint}
 
 /** Batch Spark execution of the cleaners. Every op moves series as
   * columnar [[SparkCleaner.Block]]s, never one record per point, wherever
@@ -68,8 +68,8 @@ object SparkCleaner {
     private def dimOf(seriesId: Long, pts: Array[TimePoint]): Int = {
       val d = if (pts.isEmpty) 0 else pts(0).dim
       val i = pts.indexWhere(_.dim != d)
-      if (i >= 0) throw new IllegalArgumentException(
-        s"series $seriesId, point $i (t = ${pts(i).t}): has ${pts(i).dim} dimensions, point 0 has $d")
+      if (i >= 0) throw new InputContractException(
+        i, pts(i).t, s"has ${pts(i).dim} dimensions, point 0 has $d", Some(seriesId))
       d
     }
 
@@ -186,12 +186,15 @@ object SparkCleaner {
 
   /** Clean every series with `cleaner`, one group per seriesId. The
     * shuffle moves one block per run of same-key rows in an input
-    * partition, not one row per point.
+    * partition, not one row per point. A series outside the input
+    * contract fails the job with an [[InputContractException]] that
+    * names it.
     */
   def clean(ds: Dataset[SeriesRow], cleaner: Cleaner): Dataset[SeriesRow] =
     ds.mapPartitions(Block.pack)(blockEncoder).groupByKey(_.seriesId)(Encoders.scalaLong)
       .flatMapGroups { (id, blocks) =>
-        cleaner.clean(Block.merge(blocks)).iterator.map(p => SeriesRow(id, p.t, ArraySeq.unsafeWrapArray(p.v)))
+        InputContractException.inSeries(id)(cleaner.clean(Block.merge(blocks)))
+          .iterator.map(p => SeriesRow(id, p.t, ArraySeq.unsafeWrapArray(p.v)))
       }(rowEncoder)
 
   /** Collect a Dataset back to per-series point arrays: each key's points
@@ -218,7 +221,10 @@ object SparkCleaner {
     * `s`. A pair with equal timestamps has no speed and yields no row, as
     * in [[repro.core.SpeedConstraint.consecutiveSpeeds]]. Each partition's
     * rows are packed into blocks, the blocks are grouped by series and
-    * merged, and the speeds come from one pass over the merged series.
+    * merged, and the speeds come from one pass over the merged series. A
+    * series outside the cleaners' input contract (a non-finite timestamp
+    * or value) fails the job with an [[InputContractException]] that
+    * names it, as in [[clean]].
     */
   def violations(flat: DataFrame, dims: Int, s: Double): DataFrame = {
     val cols = col("series_id").cast("bigint") +: col("t").cast("double") +:
@@ -226,7 +232,7 @@ object SparkCleaner {
     val blocks = flat.select(cols: _*).queryExecution.toRdd.mapPartitions(Block.packFlat(_, dims))
     flat.sparkSession.createDataset(blocks)(blockEncoder).groupByKey(_.seriesId)(Encoders.scalaLong)
       .flatMapGroups { (id, group) =>
-        val pts = Block.merge(group)
+        val pts = InputContractException.inSeries(id)(TimePoint.checkedCopyOf(Block.merge(group)))
         (1 until pts.length).iterator.collect { case i if pts(i).t - pts(i - 1).t > 0 =>
           val speed = pts(i).dist(pts(i - 1)) / (pts(i).t - pts(i - 1).t)
           Violation(id, pts(i).t, speed, if (speed > s) 1 else 0)

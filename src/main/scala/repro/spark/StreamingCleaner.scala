@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{Dataset, Encoders}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{MtcscL, SeriesRow, SpeedConstraint, TimePoint}
+import repro.core.{InputContractException, MtcscL, SeriesRow, SpeedConstraint, TimePoint}
 import repro.spark.SparkCleaner.{Block, blockEncoder, rowEncoder}
 
 /** Structured Streaming execution of MTCSC-L (Algorithm 2): a stateful
@@ -17,7 +17,7 @@ import repro.spark.SparkCleaner.{Block, blockEncoder, rowEncoder}
   * points (bounded by the window size). Points must arrive in timestamp
   * order (the paper's assumption, Section 5.6 limitation 1): a point
   * earlier than the last held one, a non-finite value or a change of D
-  * fails with the kernel's IllegalArgumentException.
+  * fails the query with an [[InputContractException]] naming the series.
   */
 object StreamingCleaner {
 
@@ -48,8 +48,8 @@ object StreamingCleaner {
         (id: Long, rows: Iterator[SeriesRow], state: GroupState[Block]) => {
           val held = Block.merge(state.getOption)
           val arrived = SeriesRow.toPoints(rows.toSeq)
-          val (emitted, prev, pending) =
-            advance(sc, held.headOption, held.drop(1).toVector ++ arrived, endOfStream = false)
+          val (emitted, prev, pending) = InputContractException.inSeries(id)(
+            advance(sc, held.headOption, held.drop(1).toVector ++ arrived, endOfStream = false))
           state.update(Block.of(id, (prev ++: pending).toArray))
           SeriesRow.fromPoints(id, emitted.toArray).iterator
         }

@@ -181,12 +181,46 @@ class SparkCleanerSpec extends SparkSpec {
       assertSameMaps(SparkCleaner.collectSeries(SparkCleaner.clean(rows, cleaner)),
         Reference.collectSeries(Reference.cleanRows(rows, cleaner)))
     inputs.foreach(_.unpersist())
-    // A key that mixes D fails both with the kernel's input-contract error.
+    // A key that mixes D fails both with the kernel's input-contract error;
+    // Spark's names the series.
     val mixed = MtcscL(sc)
     val got = contractError(SparkCleaner.collectSeries(SparkCleaner.clean(mixedD, mixed)))
     val want = contractError(Reference.collectSeries(Reference.cleanRows(mixedD, mixed)))
-    assert(got == want)
-    assert(got.startsWith("point 1 (t = 1.0): has 1 dimensions, point 0 has 2"), got)
+    assert(got == s"series 9, $want")
+    assert(got.startsWith("series 9, point 1 (t = 1.0): has 1 dimensions, point 0 has 2"), got)
+  }
+
+  /** Keys 4-6 of 40-point walks; key 5's point 17 has a NaN in dimension 1. */
+  private def nanInKey5: Seq[(Long, Array[TimePoint])] =
+    (4L to 6L).map { id =>
+      val pts = walk(40, 2, seed = id).distinctBy(_.t)
+      if (id == 5L) pts(17).v(1) = Double.NaN
+      id -> pts
+    }
+
+  test("Spark clean names the series of a contract error, for MTCSC and baseline cleaners") {
+    val series = nanInKey5
+    val t17 = series(1)._2(17).t
+    val ds = SparkCleaner.toDS(spark, series)
+    for (cleaner <- Seq(MtcscC(sc2), repro.baselines.Ewma())) {
+      val got = contractError(SparkCleaner.collectSeries(SparkCleaner.clean(ds, cleaner)))
+      assert(got == s"series 5, point 17 (t = $t17): value NaN in dimension 1 is not finite", s"${cleaner.name}: $got")
+    }
+  }
+
+  test("violations rejects a non-finite value or timestamp and names the series") {
+    val series = nanInKey5
+    val t17 = series(1)._2(17).t
+    val nanValue = SparkCleaner.toFlatDF(SparkCleaner.toDS(spark, series), dims = 2)
+    assert(contractError(SparkCleaner.violations(nanValue, 2, 2.5).collect()) ==
+      s"series 5, point 17 (t = $t17): value NaN in dimension 1 is not finite")
+    // A NaN timestamp sorts last, so the error names the series' last index.
+    val nanT = series.map { case (id, pts) =>
+      id -> pts.map(p => if (id == 5L && p.t == t17) TimePoint(Double.NaN, Array(0.0, 0.0)) else p)
+    }
+    val flat = SparkCleaner.toFlatDF(SparkCleaner.toDS(spark, nanT), dims = 2)
+    assert(contractError(SparkCleaner.violations(flat, 2, 2.5).collect()) ==
+      s"series 5, point ${nanT(1)._2.length - 1} (t = NaN): timestamp is not finite")
   }
 
   test("clean shuffles one record per series and input partition, not one per point") {

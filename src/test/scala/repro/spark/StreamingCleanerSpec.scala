@@ -157,4 +157,22 @@ class StreamingCleanerSpec extends SparkSpec {
       assert(cause.exists(_.getMessage.contains("timestamp decreases from 2.0")), e)
     } finally query.stop()
   }
+
+  test("a NaN value fails the streaming query with an error that names its series") {
+    import spark.implicits._
+    implicit val sqlCtx = spark.sqlContext
+    val input = MemoryStream[SeriesRow]
+    val query = StreamingCleaner.clean(input.toDS(), sc2)
+      .writeStream.format("memory").queryName("mtcsc_nan").outputMode("append").start()
+    try {
+      input.addData((0 until 4).flatMap(i => Seq(SeriesRow(4L, i, Seq(0.1 * i)), SeriesRow(5L, i, Seq(0.2 * i)))))
+      query.processAllAvailable()
+      input.addData(Seq(SeriesRow(4L, 4, Seq(0.4)), SeriesRow(5L, 4, Seq(Double.NaN))))
+      val e = intercept[org.apache.spark.sql.streaming.StreamingQueryException](query.processAllAvailable())
+      // Key 5's state holds its last decided point and what is pending, so
+      // the index counts from that point.
+      assert(illegalArgument(e).map(_.getMessage).exists(m =>
+        m.startsWith("series 5, point ") && m.endsWith("(t = 4.0): value NaN in dimension 0 is not finite")), e)
+    } finally query.stop()
+  }
 }
