@@ -48,6 +48,36 @@ object PerDim {
     }
   }
 
+  /** Per-dimension acceleration caps for [[SpeedAcc]]: the `percentile`
+    * of |Δspeed / dt| over consecutive univariate speeds, widened by
+    * `slack`. A step k has one when both its pairs, (k-1, k) and
+    * (k-2, k-1), have dt > 0; its acceleration is the change from the
+    * earlier pair's speed to the later's, over the later pair's dt, the
+    * bound SpeedAcc applies. A series with no such step gets no cap.
+    */
+  def captureAccelerations(xs: Array[TimePoint], percentile: Double, slack: Double): Array[Double] = {
+    def dt(k: Int) = xs(k).t - xs(k - 1).t
+    def speed(k: Int, l: Int) = (xs(k).v(l) - xs(k - 1).v(l)) / dt(k)
+    val steps = new Array[Int](math.max(0, xs.length - 2))
+    var m = 0
+    var k = 2
+    while (k < xs.length) {
+      if (dt(k) > 0 && dt(k - 1) > 0) { steps(m) = k; m += 1 }
+      k += 1
+    }
+    // One buffer serves every dimension, as in `captureSpeeds`.
+    val accs = new Array[Double](m)
+    Array.tabulate(if (xs.isEmpty) 0 else xs(0).dim) { l =>
+      var j = 0
+      while (j < m) {
+        val k = steps(j)
+        accs(j) = math.abs(speed(k, l) - speed(k - 1, l)) / dt(k)
+        j += 1
+      }
+      if (m == 0) Double.PositiveInfinity else SpeedConstraint.quantile(accs, percentile) * slack
+    }
+  }
+
   /** Median of a non-empty sample; sorts a copy. */
   def median(a: Array[Double]): Double = {
     val s = a.clone()

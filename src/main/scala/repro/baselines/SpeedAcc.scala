@@ -9,7 +9,8 @@ import repro.core.{Cleaner, SpeedConstraint, TimePoint}
   * two previous repairs: with v_prev the last repaired speed, the next
   * value must lie within x'_{k-1} + (v_prev ± a·dt)·dt. The caller sets
   * one symmetric acceleration cap per dimension; the method registry
-  * (`Harness.methods`) uses 2·s of that dimension's speed constraint.
+  * (`Harness.methods`) captures it from the reference series as it
+  * captures the speeds (`PerDim.captureAccelerations`).
   */
 final case class SpeedAcc(scs: Array[SpeedConstraint], accs: Array[Double]) extends Cleaner {
   override def name: String = "SpeedAcc"

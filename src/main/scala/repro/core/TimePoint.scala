@@ -108,7 +108,7 @@ object TimePoint {
   * builds the message: `point i (t = …): why`, after `series S, ` when the
   * series is known.
   */
-final class InputContractException(val index: Int, val t: Double, val reason: String, val series: Option[Long])
+final class InputContractException(val index: Long, val t: Double, val reason: String, val series: Option[Long])
     extends IllegalArgumentException(series.fold("")(id => s"series $id, ") + s"point $index (t = $t): $reason")
 
 object InputContractException {

@@ -63,7 +63,7 @@ object Experiments {
     // points in the paper's collection and in ours), otherwise the
     // cluster/window scan only ever sees error points: w = 30 s.
     val cfg0 = Harness.configFrom(DT.truth, w = 30.0)
-    val cfg = cfg0.copy(sc = SpeedConstraint(1.6, 30.0))
+    val cfg = Harness.Config(SpeedConstraint(1.6, 30.0), cfg0.uniScs)(cfg0.accs)
     Harness.runAll(spark, Harness.methods(cfg, DT.truth), DT.dirty, DT.truth)
   }
 

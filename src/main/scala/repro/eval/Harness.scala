@@ -27,24 +27,31 @@ object Harness {
   final case class Config(
       sc: SpeedConstraint,                 // multivariate constraint (MTCSC-*)
       uniScs: Array[SpeedConstraint],      // per-dimension constraints (univariate methods)
-  )
+  )(accsOf: => Array[Double]) {
+    /** Per-dimension acceleration caps (SpeedAcc), evaluated on first use:
+      * their capture costs about what the speeds' does, and only SpeedAcc
+      * reads them.
+      */
+    lazy val accs: Array[Double] = accsOf
+  }
 
   /** Expert-style constraint capture: percentile of the reference
-    * series' speeds with a small slack factor (the paper uses domain
-    * knowledge or a 95% confidence level; Section 4 motivates why pure
-    * dirty-data capture is fragile).
+    * series' speeds (and, for SpeedAcc, accelerations) with a small slack
+    * factor (the paper uses domain knowledge or a 95% confidence level;
+    * Section 4 motivates why pure dirty-data capture is fragile).
     */
   def configFrom(reference: Array[TimePoint], w: Double,
                  percentile: Double = 0.99, slack: Double = 1.15): Config =
     Config(SpeedConstraint.capture(reference, w, percentile, slack),
-      PerDim.captureSpeeds(reference, w, percentile, slack))
+      PerDim.captureSpeeds(reference, w, percentile, slack))(
+      PerDim.captureAccelerations(reference, percentile, slack))
 
   /** The standard method zoo for a comparison table. `truth` is needed
     * only by HTD's labelled capture.
     */
   def methods(cfg: Config, truth: Array[TimePoint]): Seq[Cleaner] = Seq(
     MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscUni(cfg.uniScs),
-    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)), // symmetric accel cap
+    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.accs),
     LsGreedy(), Ewma(), Rcsws(), Htd.captureFromTruth(truth, cfg.sc.w),
     HoloCleanLite(cfg.uniScs), TranAdLite(), CaeMLite())
 

@@ -1,7 +1,5 @@
 package repro.spark
 
-import scala.collection.immutable.ArraySeq
-import scala.collection.mutable.ArrayBuilder
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
@@ -13,17 +11,21 @@ import repro.core.{Cleaner, InputContractException, SeriesRow, TimePoint}
   *
   *  - `toDS` lays the series end to end and cuts them into one run of
   *    about N/n points per task (n = the default parallelism), shipped as
-  *    blocks and expanded to [[SeriesRow]]s on the executors.
+  *    blocks and expanded to [[SeriesRow]]s on the executors whose `dims`
+  *    view the block's values instead of copying them.
   *  - `clean` packs each input partition's runs of same-key rows into
   *    blocks, groups the blocks by series, merges a group back into one
-  *    time-ordered series ([[Block.merge]]) and repairs it with any
-  *    registered [[Cleaner]]; `violations` does the same with the flat
-  *    columns and computes consecutive speeds instead of a repair.
-  *  - `collectSeries` packs each partition's rows into blocks before
-  *    collecting and merges them per key on the driver.
+  *    time-ordered series ([[Block.merge]]), repairs it with any
+  *    registered [[Cleaner]] and emits the repair as the rows of one
+  *    block; `violations` does the same with the flat columns and
+  *    computes consecutive speeds instead of a repair.
+  *  - `collectSeries` packs each partition's rows into blocks (the rows
+  *    of one whole block pack to that block, uncopied), collects the
+  *    blocks as objects and merges them per key.
   *
-  * Blocks are encoded with Kryo, which reads and writes their arrays in
-  * primitive loops. Points with equal timestamps that sit in different
+  * Encoders hold blocks with Kryo, which reads and writes their arrays in
+  * primitive loops; Java serialisation writes them in bulk
+  * ([[Block.Wire]]). Points with equal timestamps that sit in different
   * input partitions have no defined order, as with a row-wise
   * `groupByKey`; `toDS` never puts equal timestamps of a series in
   * different partitions. The sequential per-series
@@ -33,16 +35,21 @@ import repro.core.{Cleaner, InputContractException, SeriesRow, TimePoint}
 object SparkCleaner {
 
   /** One run of a series' points: timestamps `t` and the values as a flat
-    * row-major n×D array `v`, so D = `v.length / t.length`.
+    * row-major n×D array `v`, so D = `v.length / t.length`. Neither array
+    * is written after construction: rows view them, [[Block.pack]] may
+    * hand the block itself on, and Spark may share it between operators.
     */
   private[spark] final case class Block(seriesId: Long, t: Array[Double], v: Array[Double]) {
     def dim: Int = if (t.isEmpty) 0 else v.length / t.length
 
+    /** One row per point, each `dims` a read-only view of `v` ([[Block.Dims]]). */
     def rows: Iterator[SeriesRow] = {
       val d = dim
-      Iterator.tabulate(t.length)(i =>
-        SeriesRow(seriesId, t(i), ArraySeq.unsafeWrapArray(java.util.Arrays.copyOfRange(v, i * d, i * d + d))))
+      Iterator.tabulate(t.length)(i => SeriesRow(seriesId, t(i), new Block.Dims(this, i, d)))
     }
+
+    /** Java serialisation writes [[Block.Wire]] in place of the block. */
+    private def writeReplace(): AnyRef = new Block.Wire(this)
   }
 
   private[spark] object Block {
@@ -100,20 +107,47 @@ object SparkCleaner {
       out.map(_.result())
     }
 
-    /** Packs each run of contiguous rows with one key and one D into a block. */
-    def pack(rows: Iterator[SeriesRow]): Iterator[Block] = {
-      val in = rows.buffered
-      Iterator.continually(in).takeWhile(_.hasNext).map { _ =>
+    /** Packs each run of contiguous rows with one key and one D into a
+      * block. A run that is exactly the rows of one block, whole and in
+      * order (as `rows` yields them), is that block; any other run is
+      * copied once into a buffer that serves every run of the call.
+      */
+    def pack(rows: Iterator[SeriesRow]): Iterator[Block] = new Iterator[Block] {
+      private val in = rows.buffered
+      private val t = new DoubleBuffer
+      private val v = new DoubleBuffer
+
+      def hasNext: Boolean = in.hasNext
+
+      def next(): Block = {
         val first = in.head
-        val t = new ArrayBuilder.ofDouble
-        val v = new ArrayBuilder.ofDouble
-        while (in.hasNext && in.head.seriesId == first.seriesId && in.head.dims.length == first.dims.length) {
+        val id = first.seriesId
+        val d = first.dims.length
+        def inRun(r: SeriesRow) = r.seriesId == id && r.dims.length == d
+        first.dims match {
+          case w: Dims =>
+            val b = w.block
+            var k = 0
+            while (k < b.t.length && in.hasNext && isRow(in.head, b, k)) { in.next(); k += 1 }
+            if (k == b.t.length && !(in.hasNext && inRun(in.head))) return b
+            t.add(b.t, 0, k)
+            v.add(b.v, 0, k * d)
+          case _ =>
+        }
+        while (in.hasNext && inRun(in.head)) {
           val r = in.next()
           t += r.t
-          v ++= r.dims
+          v.add(r.dims)
         }
-        Block(first.seriesId, t.result(), v.result())
+        Block(id, t.take(), v.take())
       }
+    }
+
+    /** Whether `r` is row `k` of `b` as `b.rows` yields it. */
+    private def isRow(r: SeriesRow, b: Block, k: Int): Boolean = r.dims match {
+      case w: Dims => (w.block eq b) && w.i == k && r.seriesId == b.seriesId &&
+        java.lang.Double.doubleToRawLongBits(r.t) == java.lang.Double.doubleToRawLongBits(b.t(k))
+      case _ => false
     }
 
     /** Packs each run of contiguous rows with one key into a block, from
@@ -122,10 +156,10 @@ object SparkCleaner {
       */
     def packFlat(rows: Iterator[InternalRow], dims: Int): Iterator[Block] = {
       val in = rows.buffered
+      val t = new DoubleBuffer
+      val v = new DoubleBuffer
       Iterator.continually(in).takeWhile(_.hasNext).map { _ =>
         val id = in.head.getLong(0)
-        val t = new ArrayBuilder.ofDouble
-        val v = new ArrayBuilder.ofDouble
         while (in.hasNext && in.head.getLong(0) == id) {
           val r = in.next()
           if (r.anyNull) throw new IllegalArgumentException(s"series $id: a row has a null column")
@@ -133,8 +167,87 @@ object SparkCleaner {
           var l = 0
           while (l < dims) { v += r.getDouble(2 + l); l += 1 }
         }
-        Block(id, t.result(), v.result())
+        Block(id, t.take(), v.take())
       }
+    }
+
+    /** Row `i`'s values in `block`, whose D is `length`: a read-only view
+      * of its `v`, equal (with the same hash) to any `Seq` of those values.
+      */
+    final class Dims(val block: Block, val i: Int, override val length: Int) extends IndexedSeq[Double] {
+      private val from = i * length
+
+      def apply(l: Int): Double = {
+        if (l < 0 || l >= length) throw new IndexOutOfBoundsException(s"$l is out of bounds (min 0, max ${length - 1})")
+        block.v(from + l)
+      }
+
+      override def iterator: Iterator[Double] = new scala.collection.AbstractIterator[Double] {
+        private val until = from + Dims.this.length
+        private var l = from
+        def hasNext: Boolean = l < until
+        def next(): Double = {
+          if (!hasNext) throw new NoSuchElementException("next on empty iterator")
+          l += 1
+          block.v(l - 1)
+        }
+      }
+    }
+
+    /** A growable primitive buffer that one packing call reuses for every
+      * block it builds: `take` copies the contents out once and empties it.
+      */
+    private final class DoubleBuffer {
+      private var a = new Array[Double](64)
+      private var n = 0
+
+      private def reserve(m: Int): Unit =
+        if (n + m > a.length) a = java.util.Arrays.copyOf(a, math.max(2 * a.length, n + m))
+
+      def +=(x: Double): Unit = { reserve(1); a(n) = x; n += 1 }
+
+      def add(src: Array[Double], from: Int, len: Int): Unit = {
+        reserve(len)
+        System.arraycopy(src, from, a, n, len)
+        n += len
+      }
+
+      def add(xs: Seq[Double]): Unit = xs match {
+        case w: Dims => add(w.block.v, w.i * w.length, w.length)
+        case _ => xs.foreach(this += _)
+      }
+
+      def take(): Array[Double] = { val out = java.util.Arrays.copyOf(a, n); n = 0; out }
+    }
+
+    /** The Java-serialised form of a block, which serves `toDS`'s task
+      * shipping and `collectSeries`'s collect: the id and the two lengths,
+      * then `t` and `v` as one little-endian byte run, written and read in
+      * bulk rather than one double at a time.
+      */
+    final class Wire(private var b: Block) extends java.io.Externalizable {
+      def this() = this(null)
+
+      def writeExternal(out: java.io.ObjectOutput): Unit = {
+        out.writeLong(b.seriesId)
+        out.writeInt(b.t.length)
+        out.writeInt(b.v.length)
+        val bytes = java.nio.ByteBuffer.allocate(8 * (b.t.length + b.v.length)).order(java.nio.ByteOrder.LITTLE_ENDIAN)
+        bytes.asDoubleBuffer().put(b.t).put(b.v)
+        out.write(bytes.array())
+      }
+
+      def readExternal(in: java.io.ObjectInput): Unit = {
+        val id = in.readLong()
+        val t = new Array[Double](in.readInt())
+        val v = new Array[Double](in.readInt())
+        val bytes = new Array[Byte](8 * (t.length + v.length))
+        in.readFully(bytes)
+        java.nio.ByteBuffer.wrap(bytes).order(java.nio.ByteOrder.LITTLE_ENDIAN).asDoubleBuffer().get(t).get(v)
+        b = Block(id, t, v)
+      }
+
+      private def readResolve(): AnyRef = b
     }
 
     private val byT: java.util.Comparator[TimePoint] = (a, b) => java.lang.Double.compare(a.t, b.t)
@@ -166,11 +279,11 @@ object SparkCleaner {
   /** One row of [[violations]]. */
   private[spark] final case class Violation(series_id: Long, t: Double, speed: Double, violation: Int)
 
-  /** Every op, batch and streaming, encodes blocks with Kryo: Spark's
-    * product encoder decodes an `Array[Double]` field one boxed element
-    * at a time.
+  /** Every batch op encodes blocks with Kryo, as the streaming state
+    * does: Spark's product encoder decodes an `Array[Double]` field one
+    * boxed element at a time.
     */
-  private[spark] val blockEncoder: Encoder[Block] = Encoders.kryo[Block]
+  private val blockEncoder: Encoder[Block] = Encoders.kryo[Block]
   private[spark] val rowEncoder: Encoder[SeriesRow] = Encoders.product[SeriesRow]
   private val violationEncoder: Encoder[Violation] = Encoders.product[Violation]
 
@@ -186,24 +299,33 @@ object SparkCleaner {
 
   /** Clean every series with `cleaner`, one group per seriesId. The
     * shuffle moves one block per run of same-key rows in an input
-    * partition, not one row per point. A series outside the input
+    * partition, not one row per point, and each repaired series leaves as
+    * the rows of one block, which `collectSeries` packs back to that
+    * block. A series outside the input
     * contract fails the job with an [[InputContractException]] that
     * names it.
     */
   def clean(ds: Dataset[SeriesRow], cleaner: Cleaner): Dataset[SeriesRow] =
     ds.mapPartitions(Block.pack)(blockEncoder).groupByKey(_.seriesId)(Encoders.scalaLong)
       .flatMapGroups { (id, blocks) =>
-        InputContractException.inSeries(id)(cleaner.clean(Block.merge(blocks)))
-          .iterator.map(p => SeriesRow(id, p.t, ArraySeq.unsafeWrapArray(p.v)))
+        Block.of(id, InputContractException.inSeries(id)(cleaner.clean(Block.merge(blocks)))).rows
       }(rowEncoder)
 
   /** Collect a Dataset back to per-series point arrays: each key's points
     * in collect order, stably sorted by `t`.
     */
-  def collectSeries(ds: Dataset[SeriesRow]): Map[Long, Array[TimePoint]] =
-    ds.mapPartitions(Block.pack)(blockEncoder).collect().groupBy(_.seriesId).map { case (id, blocks) =>
-      id -> Block.merge(blocks)
-    }
+  def collectSeries(ds: Dataset[SeriesRow]): Map[Long, Array[TimePoint]] = mergeByKey(collectBlocks(ds))
+
+  /** Each partition's rows packed into blocks and collected through the
+    * RDD, which ships them in their Java form rather than as SQL rows
+    * that are decompressed and then decoded with Kryo after the job.
+    */
+  private[spark] def collectBlocks(ds: Dataset[SeriesRow]): Array[Block] =
+    ds.mapPartitions(Block.pack)(blockEncoder).rdd.collect()
+
+  /** Every key's points from its collected blocks, by [[Block.merge]]. */
+  private[spark] def mergeByKey(blocks: Array[Block]): Map[Long, Array[TimePoint]] =
+    blocks.groupBy(_.seriesId).map { case (id, bs) => id -> Block.merge(bs) }
 
   /** Flatten to one column per dimension (series_id, t, v0..v{D-1}) —
     * the SQL-facing shape.

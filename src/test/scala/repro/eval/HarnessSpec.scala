@@ -23,6 +23,38 @@ class HarnessSpec extends AnyFunSuite {
     assert(loose.sc.s > tight.sc.s)
   }
 
+  test("configFrom captures SpeedAcc's caps from consecutive speed changes") {
+    // Irregular timestamps with repeats, so steps with a zero dt are skipped.
+    val r = new java.util.Random(3)
+    var t = 0.0
+    val xs = Array.tabulate(300) { i =>
+      if (i % 9 != 4) t += 0.5 + r.nextDouble()
+      TimePoint(t, Array(r.nextGaussian(), 10 * r.nextGaussian()))
+    }
+    val cfg = Harness.configFrom(xs, 10.0, percentile = 0.9, slack = 1.1)
+    assert(cfg.accs.length == 2)
+    for (l <- 0 until 2) {
+      val accs = for {
+        k <- 2 until xs.length
+        dt = xs(k).t - xs(k - 1).t
+        dtPrev = xs(k - 1).t - xs(k - 2).t
+        if dt > 0 && dtPrev > 0
+      } yield math.abs((xs(k).v(l) - xs(k - 1).v(l)) / dt - (xs(k - 1).v(l) - xs(k - 2).v(l)) / dtPrev) / dt
+      val sorted = accs.sorted
+      assert(cfg.accs(l) == sorted(math.ceil(0.9 * sorted.length).toInt - 1) * 1.1, s"dimension $l")
+    }
+    assert(Harness.configFrom(xs.take(2), 10.0).accs.forall(_.isPosInfinity))
+  }
+
+  test("the registry's SpeedAcc cap binds: its repair differs from SCREEN's") {
+    val truth = TimeSeriesGen.tao(5000, seed = 2)
+    val dirty = repro.data.ErrorInjector.inject(truth, 0.1, repro.data.ErrorInjector.Together, 2)
+    val cfg = Harness.configFrom(truth, 10.0)
+    val by = Harness.methods(cfg, truth).map(c => c.name -> c).toMap
+    val (screen, speedAcc) = (by("SCREEN").clean(dirty), by("SpeedAcc").clean(dirty))
+    assert(screen.indices.exists(i => !screen(i).sameValues(speedAcc(i), 0.0)))
+  }
+
   test("methods builds the full zoo in table order") {
     val cfg = Harness.configFrom(gps.truth, 10.0)
     assert(Harness.methods(cfg, gps.truth).map(_.name) == Seq(

@@ -172,6 +172,22 @@ class SparkCleanerSpec extends SparkSpec {
     inputs.foreach(_.unpersist())
   }
 
+  test("clean's rows reach the next operator as views of one block per series, and collect as the row-wise collect does") {
+    val sc = SpeedConstraint(1.5, 5.0)
+    val series = (0L until 6L).map(id => id -> walk(300, 1 + (id % 3).toInt, seed = id))
+    val ds = SparkCleaner.toDS(spark, series)
+    for (cleaner <- Seq(MtcscL(sc), MtcscC(sc))) {
+      val cleaned = SparkCleaner.clean(ds, cleaner)
+      // Spark hands clean's row objects on as they are, so `pack` gets
+      // each series' rows as `rows` yielded them and re-packs its block.
+      val views = cleaned.mapPartitions(rows => Iterator(rows.count(_.dims.isInstanceOf[SparkCleaner.Block.Dims])))(
+        Encoders.scalaInt).collect().sum
+      assert(views == series.map(_._2.length).sum, cleaner.name)
+      assertSameMaps(SparkCleaner.collectSeries(cleaned), Reference.collectSeries(cleaned))
+      assertSameMaps(SparkCleaner.collectSeries(cleaned), series.map { case (id, pts) => id -> cleaner.clean(pts) }.toMap)
+    }
+  }
+
   test("Spark clean equals the row-wise clean when rows are scattered and out of order") {
     val sc = SpeedConstraint(1.5, 5.0)
     val series = (0L until 6L).map(id => id -> walk(300, 2, seed = id))

@@ -90,6 +90,28 @@ class StreamingCleanerSpec extends SparkSpec {
     assert(e.getMessage == "point 2 (t = 2.0): value NaN in dimension 0 is not finite", e.getMessage)
   }
 
+  test("advance gives a contract error's index in the series when told where its points start") {
+    val sc = SpeedConstraint(2.5, 8.0)
+    val series = TimeSeriesGen.gpsWalk(40, seed = 4).dirty
+    var prev: Option[TimePoint] = None
+    var pending = Vector.empty[TimePoint]
+    var decided = 0L
+    for (chunk <- series.take(30).grouped(7)) {
+      val (e, p, rest) = StreamingCleaner.advance(sc, prev, pending ++ chunk, endOfStream = false, first = math.max(0L, decided - 1))
+      decided += e.length; prev = p; pending = rest
+    }
+    assert(prev.isDefined && decided > 1)
+    val bad = TimePoint(series(30).t, Array(series(30).v(0), Double.NaN))
+    val e = intercept[InputContractException](
+      StreamingCleaner.advance(sc, prev, pending ++ Vector(bad), endOfStream = false, first = decided - 1))
+    assert(e.index == 30 && e.series.isEmpty)
+    assert(e.getMessage == s"point 30 (t = ${bad.t}): value NaN in dimension 1 is not finite", e.getMessage)
+    // Without the count, the index is the point's place in the held state.
+    val held = intercept[InputContractException](
+      StreamingCleaner.advance(sc, prev, pending ++ Vector(bad), endOfStream = false))
+    assert(held.index == pending.length + 1)
+  }
+
   test("advance rejects a change of D") {
     val e = intercept[IllegalArgumentException](StreamingCleaner.advance(sc2, Some(TimePoint(0, Array(0.0, 0.0))),
       Vector(TimePoint.uni(1, 0.5)), endOfStream = false))
@@ -169,10 +191,8 @@ class StreamingCleanerSpec extends SparkSpec {
       query.processAllAvailable()
       input.addData(Seq(SeriesRow(4L, 4, Seq(0.4)), SeriesRow(5L, 4, Seq(Double.NaN))))
       val e = intercept[org.apache.spark.sql.streaming.StreamingQueryException](query.processAllAvailable())
-      // Key 5's state holds its last decided point and what is pending, so
-      // the index counts from that point.
-      assert(illegalArgument(e).map(_.getMessage).exists(m =>
-        m.startsWith("series 5, point ") && m.endsWith("(t = 4.0): value NaN in dimension 0 is not finite")), e)
+      assert(illegalArgument(e).map(_.getMessage).contains(
+        "series 5, point 4 (t = 4.0): value NaN in dimension 0 is not finite"), e)
     } finally query.stop()
   }
 }
