@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.eval.{Experiments, Harness}
+import repro.eval.Experiments
 
 /** Figures 14/15 shape — adaptive speed constraint on GPS(Mixed) with
   * walking -> running -> cycling mode changes, plus b / tau sensitivity.
@@ -10,8 +10,7 @@ class AdaptiveBench extends AnyFunSuite {
 
   test("Figure 14 shape: MTCSC-A under three initial speed settings") {
     val results = Experiments.adaptiveTransportation()
-    for ((mode, rows) <- results)
-      println(Harness.formatTable(s"GPS(Mixed), initial speed = $mode", rows))
+    println(Experiments.formatAdaptive(results))
 
     for ((mode, rows) <- results) {
       val by = rows.map(r => r.method -> r).toMap
@@ -31,11 +30,10 @@ class AdaptiveBench extends AnyFunSuite {
   }
 
   test("Figure 15 shape: sensitivity over bucket number b and threshold tau") {
-    val (overB, overTau) = Experiments.adaptiveSensitivity()
-    println("sensitivity over b:   " + overB.map { case (b, r) => f"b=$b rmse=$r%.4f" }.mkString("  "))
-    println("sensitivity over tau: " + overTau.map { case (t, r) => f"tau=$t rmse=$r%.4f" }.mkString("  "))
+    val sensitivity = Experiments.adaptiveSensitivity()
+    println(Experiments.formatSensitivity(sensitivity))
     // robust to b: spread across bucket counts stays small (paper 15(a))
-    val rs = overB.map(_._2)
+    val rs = sensitivity._1.map(_._2)
     assert(rs.max / math.max(rs.min, 1e-9) < 2.0, s"b sensitivity: $rs")
   }
 }

@@ -10,8 +10,7 @@ class AppsBench extends AnyFunSuite {
 
   test("Figure 16 shape: classification and clustering over cleaned data") {
     val rows = Experiments.applications()
-    println(f"${"dataset"}%-10s ${"variant"}%-9s ${"F1"}%7s ${"RI"}%7s")
-    rows.foreach(r => println(f"${r.dataset}%-10s ${r.variant}%-9s ${r.f1}%7.4f ${r.ri}%7.4f"))
+    println(Experiments.formatApps(rows))
 
     for (ds <- rows.map(_.dataset).distinct) {
       val by = rows.filter(_.dataset == ds).map(r => r.variant -> r).toMap

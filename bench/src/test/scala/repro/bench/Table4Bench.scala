@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.{Experiments, Harness}
+import repro.eval.Experiments
 
 /** Table 4 — GPS(Walk) with embedded consecutive errors: RMSE, repair
   * distance and repair number for Dirty + 13 methods, run through the
@@ -12,7 +12,7 @@ class Table4Bench extends SparkSpec {
 
   test("Table 4: GPS(Walk) with manually labeled ground truth") {
     val rows = Experiments.table4(spark)
-    println(Harness.formatTable("Table 4: GPS(Walk), embedded errors", rows))
+    println(Experiments.formatTable4(rows))
 
     val by = rows.map(r => r.method -> r).toMap
     val dirty = by("Dirty").rmse

@@ -18,6 +18,10 @@ final case class MtcscA(
     m: Int = 150,
     beta: Double = 0.75,
 ) extends Cleaner {
+  require(b >= 2, s"MTCSC-A needs at least 2 buckets, got b = $b")
+  require(m >= 1, s"MTCSC-A needs windows of at least 1 speed, got m = $m")
+  require(beta > 0, s"MTCSC-A needs a positive beta, got $beta")
+  require(tau >= 0, s"MTCSC-A needs a non-negative threshold, got tau = $tau")
   override def name: String = "MTCSC-A"
 
   override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {

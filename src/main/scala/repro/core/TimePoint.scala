@@ -44,10 +44,12 @@ object TimePoint {
   /** Formula (6): repairs `target`, a copy of the point at t_k, onto the
     * line from `p` to `m`: x'_k = alpha * (x_m - x'_p) + x'_p with
     * alpha = (t_k - t_p) / (t_m - t_p). The one interpolation site of
-    * MTCSC-G, MTCSC-L and MTCSC-C.
+    * MTCSC-G, MTCSC-L and MTCSC-C. When `m` shares `p`'s timestamp (and
+    * so `target`'s) alpha is 0: the two are speed-compatible at dt = 0,
+    * so their values already agree within `SpeedConstraint.Eps`.
     */
   private[core] def interpolate(target: TimePoint, p: TimePoint, m: TimePoint): Unit = {
-    val alpha = (target.t - p.t) / (m.t - p.t)
+    val alpha = if (m.t == p.t) 0.0 else (target.t - p.t) / (m.t - p.t)
     var l = 0
     while (l < target.v.length) {
       target.v(l) = alpha * (m.v(l) - p.v(l)) + p.v(l)

@@ -6,9 +6,10 @@ import repro.core._
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.Harness.ResultRow
 
-/** The paper's experiments (Section 5), shared by the spark-submit jobs
-  * in jobs/ and the bench suites in bench/. Each function returns
-  * structured rows plus a printable paper-style table.
+/** The paper's experiments (Section 5), shared by the command-line entry
+  * [[main]] and the bench suites in bench/. Each function returns
+  * structured rows, and each report has one formatter that prints them
+  * as a paper-style table.
   */
 object Experiments {
 
@@ -63,9 +64,12 @@ object Experiments {
     // points in the paper's collection and in ours), otherwise the
     // cluster/window scan only ever sees error points: w = 30 s.
     val cfg0 = Harness.configFrom(DT.truth, w = 30.0)
-    val cfg = Harness.Config(SpeedConstraint(1.6, 30.0), cfg0.uniScs)(cfg0.accs)
+    val cfg = cfg0.copy(sc = SpeedConstraint(1.6, 30.0))
     Harness.runAll(spark, Harness.methods(cfg, DT.truth), DT.dirty, DT.truth)
   }
+
+  def formatTable4(rows: Seq[ResultRow]): String =
+    Harness.formatTable("Table 4: GPS(Walk), embedded errors", rows)
 
   // --------------------------------------------- error-rate / size sweeps
 
@@ -166,6 +170,16 @@ object Experiments {
     (overB, overTau)
   }
 
+  def formatAdaptive(results: Seq[(String, Seq[ResultRow])]): String =
+    results.map { case (mode, rows) => Harness.formatTable(s"GPS(Mixed), initial speed = $mode", rows) }
+      .mkString("\n")
+
+  def formatSensitivity(sensitivity: (Seq[(Int, Double)], Seq[(Double, Double)])): String = {
+    val (overB, overTau) = sensitivity
+    "sensitivity over bucket number b: " + overB.map { case (b, r) => f"b=$b rmse=$r%.4f" }.mkString(", ") +
+      "\nsensitivity over threshold tau: " + overTau.map { case (t, r) => f"tau=$t rmse=$r%.4f" }.mkString(", ")
+  }
+
   // ------------------------------------------------- Figure 16 (apps)
 
   final case class AppRow(dataset: String, variant: String, f1: Double, ri: Double)
@@ -216,6 +230,11 @@ object Experiments {
     }
   }
 
+  def formatApps(rows: Seq[AppRow]): String =
+    (f"${"dataset"}%-10s ${"variant"}%-9s ${"F1"}%7s ${"RI"}%7s" +:
+      rows.map(r => f"${r.dataset}%-10s ${r.variant}%-9s ${r.f1}%7.4f ${r.ri}%7.4f"))
+      .mkString("\n")
+
   // ----------------------------------------------------------- formatting
 
   def formatSweep(title: String, xLabel: String, sweep: Seq[SweepRow]): String = {
@@ -226,5 +245,47 @@ object Experiments {
       row.rows.foreach(r => sb.append(r.fmt).append('\n'))
     }
     sb.toString
+  }
+
+  // ---------------------------------------------------------------- entry
+
+  private val Seeds = Seq(1L, 2L, 3L)
+  private val Rates = Seq(0.05, 0.10, 0.15, 0.20, 0.25)
+
+  /** Each report `main` serves, by name, with what it prints given the
+    * arguments after the name.
+    */
+  private val reports: Seq[(String, Seq[String] => String)] = Seq(
+    "table2" -> (args => formatTable2(table2(full = !args.contains("--small")))),
+    "table3" -> (_ => formatTable3()),
+    "table4" -> { args =>
+      val n = args.headOption.map(_.toInt).getOrElse(11000)
+      val spark = SparkSession.builder
+        .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+        .appName("mtcsc-table4").getOrCreate()
+      try formatTable4(table4(spark, n)) finally spark.stop()
+    },
+    "stock-rate" -> (_ => formatSweep("Stock: varying error rate", "e", errorRateSweep(
+      TimeSeriesGen.stock(12000), Rates, ErrorInjector.Together, Seeds, Harness.methods))),
+    "ild-rate" -> (_ => formatSweep("ILD: varying error rate (together)", "e", errorRateSweep(
+      TimeSeriesGen.ild(43000), Rates, ErrorInjector.Together, Seeds, Harness.methods))),
+    "ild-size" -> (_ => formatSweep("ILD: varying data size", "n", dataSizeSweep(
+      TimeSeriesGen.ild(_), Seq(5000, 10000, 20000, 43000), 0.10, ErrorInjector.Together, Seeds, Harness.methods))),
+    "ecg-dim" -> (_ => formatSweep("ECG: varying dimension", "D", dimensionSweep(6000, Seq(4, 8, 16, 32), 0.10, Seeds))),
+    "adaptive" -> (_ => formatAdaptive(adaptiveTransportation()) + "\n" + formatSensitivity(adaptiveSensitivity())),
+    "apps" -> (_ => formatApps(applications())),
+  )
+
+  /** Prints one table or figure of Section 5:
+    * `sbt "runMain repro.eval.Experiments <report> [args]"` with report one
+    * of `table2 [--small]`, `table3`, `table4 [n]` (through a Spark session
+    * on `SPARK_MASTER`, default `local[*]`), `stock-rate`, `ild-rate`,
+    * `ild-size`, `ecg-dim`, `adaptive` or `apps`.
+    */
+  def main(args: Array[String]): Unit = {
+    val report = reports.collectFirst { case (name, r) if args.headOption.contains(name) => r }
+      .getOrElse(throw new IllegalArgumentException(
+        s"unknown report ${args.headOption.getOrElse("(none)")}; expected one of ${reports.map(_._1).mkString(", ")}"))
+    println(report(args.toSeq.drop(1)))
   }
 }

@@ -5,10 +5,10 @@ import repro.baselines._
 import repro.core._
 import repro.spark.SparkCleaner
 
-/** Runs the full method zoo over a (dirty, truth) pair and collects the
-  * paper's metrics. Distributed execution goes through
-  * [[repro.spark.SparkCleaner]]; single-series inputs are cleaned
-  * directly (one group) so timing reflects the algorithm.
+/** The method zoo, its constraint capture and the paper's metrics.
+  * [[run]] and [[runAll]] clean through [[repro.spark.SparkCleaner]], the
+  * path of Table 4; the sweeps and figures clean locally through
+  * [[Experiments.runLocal]].
   */
 object Harness {
 
@@ -19,39 +19,37 @@ object Harness {
       f"$method%-10s ${rmse}%8.4f ${repairDistance}%10.4f   $repairCount%6d(${repairFraction * 100}%5.2f%%) ${millis}%8.2f ms"
   }
 
-  /** Constraint configuration for one experiment. All constraint-based
-    * methods receive constraints of the same provenance so the
-    * comparison stays fair; HTD additionally gets truth-derived limits
-    * (the paper grants it those labels).
+  /** Constraint configuration for one experiment: the multivariate `sc`
+    * (MTCSC-*) and the per-dimension `uniScs` (univariate methods). All
+    * constraint-based methods receive constraints of the same provenance
+    * so the comparison stays fair; HTD additionally gets truth-derived
+    * limits (the paper grants it those labels).
     */
-  final case class Config(
-      sc: SpeedConstraint,                 // multivariate constraint (MTCSC-*)
-      uniScs: Array[SpeedConstraint],      // per-dimension constraints (univariate methods)
-  )(accsOf: => Array[Double]) {
-    /** Per-dimension acceleration caps (SpeedAcc), evaluated on first use:
-      * their capture costs about what the speeds' does, and only SpeedAcc
-      * reads them.
-      */
-    lazy val accs: Array[Double] = accsOf
-  }
+  final case class Config(sc: SpeedConstraint, uniScs: Array[SpeedConstraint])
+
+  /** The percentile and slack of [[configFrom]]'s default capture, which
+    * [[methods]] also applies to SpeedAcc's acceleration caps.
+    */
+  private val Percentile = 0.99
+  private val Slack = 1.15
 
   /** Expert-style constraint capture: percentile of the reference
-    * series' speeds (and, for SpeedAcc, accelerations) with a small slack
-    * factor (the paper uses domain knowledge or a 95% confidence level;
-    * Section 4 motivates why pure dirty-data capture is fragile).
+    * series' speeds with a small slack factor (the paper uses domain
+    * knowledge or a 95% confidence level; Section 4 motivates why pure
+    * dirty-data capture is fragile).
     */
   def configFrom(reference: Array[TimePoint], w: Double,
-                 percentile: Double = 0.99, slack: Double = 1.15): Config =
+                 percentile: Double = Percentile, slack: Double = Slack): Config =
     Config(SpeedConstraint.capture(reference, w, percentile, slack),
-      PerDim.captureSpeeds(reference, w, percentile, slack))(
-      PerDim.captureAccelerations(reference, percentile, slack))
+      PerDim.captureSpeeds(reference, w, percentile, slack))
 
   /** The standard method zoo for a comparison table. `truth` is needed
-    * only by HTD's labelled capture.
+    * only by HTD's labelled capture and SpeedAcc's acceleration caps,
+    * which are captured from it as [[configFrom]] captures speeds.
     */
   def methods(cfg: Config, truth: Array[TimePoint]): Seq[Cleaner] = Seq(
     MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscUni(cfg.uniScs),
-    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.accs),
+    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, PerDim.captureAccelerations(truth, Percentile, Slack)),
     LsGreedy(), Ewma(), Rcsws(), Htd.captureFromTruth(truth, cfg.sc.w),
     HoloCleanLite(cfg.uniScs), TranAdLite(), CaeMLite())
 

@@ -18,7 +18,7 @@ class InputContractSpec extends AnyFunSuite {
     ts.zipWithIndex.map { case (t, i) => TimePoint(t, Array(i * 0.5, 1.0)) }.toArray
 
   private val cleaners: Seq[Cleaner] =
-    Harness.methods(Harness.Config(sc, Array(sc, sc))(Array(1.0, 1.0)), series(0, 1, 2, 3)) :+ MtcscA(sc, m = 2)
+    Harness.methods(Harness.Config(sc, Array(sc, sc)), series(0, 1, 2, 3)) :+ MtcscA(sc, m = 2)
 
   private def rejects(xs: Array[TimePoint], index: Int, detail: String): Unit =
     for (c <- cleaners) {

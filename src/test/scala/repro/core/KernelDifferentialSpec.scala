@@ -133,6 +133,18 @@ class KernelDifferentialSpec extends AnyFunSuite {
     }
   }
 
+  test("every registry cleaner and MTCSC-A return finite values, duplicate timestamps included") {
+    // HTD captures from the series itself, which needs two distinct timestamps.
+    forAllSampled(caseGen.suchThat(c => c.xs.last.t > c.xs.head.t), 500) { c =>
+      val cfg = Harness.Config(c.sc, Array.fill(c.xs(0).dim)(c.sc))
+      for (cleaner <- Harness.methods(cfg, c.xs) :+ MtcscA(c.sc, m = 20)) {
+        val out = cleaner.clean(c.xs)
+        val bad = out.indexWhere(_.v.exists(x => !java.lang.Double.isFinite(x)))
+        assert(bad < 0, s"$c ${cleaner.name}: point $bad is ${out.lift(bad)}")
+      }
+    }
+  }
+
   test("MTCSC-A repairs are bit-identical to the reference state, recaptures included") {
     val g = for {
       c <- caseGen

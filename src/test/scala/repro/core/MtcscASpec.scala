@@ -109,4 +109,17 @@ class MtcscASpec extends AnyFunSuite {
     val c = MtcscC(sc).clean(pts)
     assert(pts.indices.forall(i => a(i).sameValues(c(i))))
   }
+
+  test("MTCSC-A rejects parameters it cannot run with") {
+    val sc = SpeedConstraint(1.0, 5.0)
+    for ((make, detail) <- Seq[(() => MtcscA, String)](
+           (() => MtcscA(sc, b = 1), "got b = 1"),
+           (() => MtcscA(sc, m = 0), "got m = 0"),
+           (() => MtcscA(sc, beta = 0), "positive beta, got 0.0"),
+           (() => MtcscA(sc, tau = -1), "got tau = -1.0"),
+           (() => MtcscA(sc, tau = Double.NaN), "got tau = NaN"))) {
+      val e = intercept[IllegalArgumentException](make())
+      assert(e.getMessage.contains(detail), e.getMessage)
+    }
+  }
 }

@@ -82,7 +82,7 @@ object Reference {
             done = true
           } else if (sc.speedOk(xs(i), out(k - 1))) {
             val p = out(k - 1)
-            val alpha = (xs(k).t - p.t) / (xs(i).t - p.t)
+            val alpha = if (xs(i).t == p.t) 0.0 else (xs(k).t - p.t) / (xs(i).t - p.t)
             for (l <- out(k).v.indices) out(k).v(l) = alpha * (xs(i).v(l) - p.v(l)) + p.v(l)
             done = true
           } else i += 1
@@ -139,7 +139,7 @@ object Reference {
     if (clusters.nonEmpty) {
       val rep = xs(k + 1 + clusters.maxBy(_.size).head)
       if (!(sc.speedOk(p, xs(k)) && sc.speedOk(xs(k), rep))) {
-        val alpha = (xs(k).t - p.t) / (rep.t - p.t)
+        val alpha = if (rep.t == p.t) 0.0 else (xs(k).t - p.t) / (rep.t - p.t)
         for (l <- out(k).v.indices) out(k).v(l) = alpha * (rep.v(l) - p.v(l)) + p.v(l)
       }
     } else if (!sc.speedOk(p, xs(k))) {

@@ -91,4 +91,28 @@ class ExperimentsSpec extends AnyFunSuite {
     }
     rows.foreach(r => assert(r.f1 >= 0 && r.f1 <= 1 && r.ri >= 0 && r.ri <= 1))
   }
+
+  private def printed(args: String*): String = {
+    val out = new java.io.ByteArrayOutputStream()
+    Console.withOut(out)(Experiments.main(args.toArray))
+    out.toString
+  }
+
+  test("main table2 --small prints the dataset table") {
+    val s = printed("table2", "--small")
+    assert(s.contains("Stock") && s.contains("GPS(Walk)") && s.contains("SWJ"))
+  }
+
+  test("main table3 prints the method table") {
+    val s = printed("table3")
+    assert(s.contains("MTCSC-G") && s.contains("HoloClean") && s.contains("CAE-M"))
+  }
+
+  test("main rejects an unknown or missing report, listing the nine reports") {
+    for (args <- Seq(Seq("table5"), Seq.empty[String])) {
+      val e = intercept[IllegalArgumentException](printed(args: _*))
+      for (name <- Seq("table2", "table3", "table4", "stock-rate", "ild-rate", "ild-size", "ecg-dim", "adaptive", "apps"))
+        assert(e.getMessage.contains(name), e.getMessage)
+    }
+  }
 }

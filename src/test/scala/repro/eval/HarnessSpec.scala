@@ -1,6 +1,7 @@
 package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.PerDim
 import repro.core._
 import repro.data.TimeSeriesGen
 
@@ -23,7 +24,7 @@ class HarnessSpec extends AnyFunSuite {
     assert(loose.sc.s > tight.sc.s)
   }
 
-  test("configFrom captures SpeedAcc's caps from consecutive speed changes") {
+  test("captureAccelerations captures SpeedAcc's caps from consecutive speed changes") {
     // Irregular timestamps with repeats, so steps with a zero dt are skipped.
     val r = new java.util.Random(3)
     var t = 0.0
@@ -31,8 +32,8 @@ class HarnessSpec extends AnyFunSuite {
       if (i % 9 != 4) t += 0.5 + r.nextDouble()
       TimePoint(t, Array(r.nextGaussian(), 10 * r.nextGaussian()))
     }
-    val cfg = Harness.configFrom(xs, 10.0, percentile = 0.9, slack = 1.1)
-    assert(cfg.accs.length == 2)
+    val caps = PerDim.captureAccelerations(xs, percentile = 0.9, slack = 1.1)
+    assert(caps.length == 2)
     for (l <- 0 until 2) {
       val accs = for {
         k <- 2 until xs.length
@@ -41,9 +42,9 @@ class HarnessSpec extends AnyFunSuite {
         if dt > 0 && dtPrev > 0
       } yield math.abs((xs(k).v(l) - xs(k - 1).v(l)) / dt - (xs(k - 1).v(l) - xs(k - 2).v(l)) / dtPrev) / dt
       val sorted = accs.sorted
-      assert(cfg.accs(l) == sorted(math.ceil(0.9 * sorted.length).toInt - 1) * 1.1, s"dimension $l")
+      assert(caps(l) == sorted(math.ceil(0.9 * sorted.length).toInt - 1) * 1.1, s"dimension $l")
     }
-    assert(Harness.configFrom(xs.take(2), 10.0).accs.forall(_.isPosInfinity))
+    assert(PerDim.captureAccelerations(xs.take(2), 0.99, 1.15).forall(_.isPosInfinity))
   }
 
   test("the registry's SpeedAcc cap binds: its repair differs from SCREEN's") {

@@ -86,6 +86,21 @@ class SparkCleanerSpec extends SparkSpec {
     }
   }
 
+  test("three points at one timestamp repair to finite values on every path") {
+    // Point 2 breaks the speed constraint against point 1 at dt = 0; its
+    // compatible successor, point 3, shares that timestamp too.
+    val xs = Array((0.0, 0.0), (1.0, 0.0), (1.0, 5.0), (1.0, 0.0), (2.0, 0.0)).map { case (t, x) => TimePoint.uni(t, x) }
+    val want = Seq(0.0, 0.0, 0.0, 0.0, 0.0)
+    val sc = SpeedConstraint(1, 2)
+    val ds = SparkCleaner.toDS(spark, Seq(4L -> xs))
+    for (cleaner <- Seq(MtcscG(sc), MtcscL(sc), MtcscC(sc), MtcscA(sc), MtcscUni(Array(sc)))) {
+      assert(cleaner.clean(xs).map(_.v(0)).toSeq == want, cleaner.name)
+      assert(SparkCleaner.collectSeries(SparkCleaner.clean(ds, cleaner))(4L).map(_.v(0)).toSeq == want,
+        s"Spark ${cleaner.name}")
+    }
+    assert(StreamingCleaner.advance(sc, None, xs.toVector, endOfStream = true)._1.map(_.v(0)) == want)
+  }
+
   test("toDS rejects a series whose points disagree on D, naming the series and point") {
     val good = walk(10, 2, seed = 1)
     val bad = walk(10, 2, seed = 2).updated(6, TimePoint(100.0, Array(1.0, 2.0, 3.0)))
