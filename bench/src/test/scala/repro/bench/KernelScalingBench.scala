@@ -5,39 +5,28 @@ import repro.core._
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.Harness
 
-/** Kernel ns/point of MTCSC-C, A and Uni along the window `w`, against
-  * the paper's O(w²Dn) bound for C and A: TAO 100k × 3 with 10% Together
-  * errors at w = 5 … 80, and the gpsWalk 200k × 2 series at w = 30.
+/** Kernel ns/point against the paper's bounds, along two axes.
+  *
+  * - The window `w`, for MTCSC-C, A and Uni against O(w²Dn): TAO 100k × 3
+  *   with 10% Together errors at w = 5 … 80, and the gpsWalk 200k × 2
+  *   series at w = 30.
+  * - The length `n`, for MTCSC-L, C, A and Uni against the exponent 1 of
+  *   O(wDn) and O(w²Dn): prefixes of TAO 568k × 3 with 10% Together errors
+  *   at w = 10, from 20k points to all of them, with the number of chunks
+  *   the batch driver splits each into ([[Chunked.count]]).
+  *
   * Every cell runs `Warm` untimed rounds, then `Reps` timed ones, round
-  * robin over all cells so that each is timed in the same JIT state; a
-  * cell reports its median, on fixed seeds. The host's speed drifts, so
-  * nothing here asserts a time: the only check is that every rep repeats
-  * the first rep's output.
+  * robin over the cells of its axis so that each is timed in the same JIT
+  * state; a cell reports its median, on fixed seeds. The host's speed
+  * drifts, so nothing here asserts a time: the only check is that every
+  * rep repeats the first rep's output.
   */
 class KernelScalingBench extends AnyFunSuite {
+  import KernelScalingBench._
 
-  private val Warm = 2
-  private val Reps = 5
-
-  final case class Cell(input: String, w: Double, cleaner: Cleaner, xs: Array[TimePoint]) {
-    val ns = scala.collection.mutable.ArrayBuffer.empty[Double]
-    private var first: Array[TimePoint] = null
-
-    def run(): Unit = {
-      val t0 = System.nanoTime()
-      val out = cleaner.clean(xs)
-      ns += (System.nanoTime() - t0).toDouble / xs.length
-      if (first == null) first = out
-      else assert(out.indices.forall(i => java.util.Arrays.equals(out(i).v, first(i).v)),
-        s"$input w=$w ${cleaner.name}: run ${ns.size} differs from the first")
-    }
-
-    def median: Double = ns.sorted.apply(ns.size / 2)
-  }
-
-  /** Least-squares slope of log(ns) over log(w). */
-  private def slope(ws: Seq[Double], ns: Seq[Double]): Double = {
-    val (x, y) = (ws.map(math.log), ns.map(math.log))
+  /** Least-squares slope of log(y) over log(x). */
+  private def slope(xs: Seq[Double], ys: Seq[Double]): Double = {
+    val (x, y) = (xs.map(math.log), ys.map(math.log))
     val (mx, my) = (x.sum / x.size, y.sum / y.size)
     x.zip(y).map { case (a, b) => (a - mx) * (b - my) }.sum / x.map(a => (a - mx) * (a - mx)).sum
   }
@@ -57,18 +46,69 @@ class KernelScalingBench extends AnyFunSuite {
     val gps = TimeSeriesGen.gpsWalk(200000, seed = 1)
     val walk = cells("gpsWalk 200k", 30, SpeedConstraint(1.6, 30), Harness.configFrom(gps.truth, 30).uniScs, gps.dirty)
     val all = tao.flatten ++ walk
-    for (_ <- 0 until Warm; c <- all) c.run()
-    all.foreach(_.ns.clear())
-    for (_ <- 0 until Reps; c <- all) c.run()
+    time(all)
 
-    val rt = Runtime.getRuntime
-    println(s"== kernel ns/point over w (${rt.availableProcessors} cores, max heap ${rt.maxMemory >> 20} MB, " +
-      s"median of $Reps after $Warm warm rounds) ==")
+    println(s"== kernel ns/point over w ($host) ==")
     println(f"${"input"}%-22s ${"w"}%5s ${"C"}%8s ${"A"}%8s ${"Uni"}%8s")
     for (row <- tao :+ walk)
       println(f"${row.head.input}%-22s ${row.head.w}%5.0f " + row.map(c => f"${c.median}%8.0f").mkString(" "))
     println(f"${"log-log slope in w"}%-22s ${""}%5s " +
       (0 until 3).map(m => f"${slope(ws, tao.map(_(m).median))}%8.2f").mkString(" ") +
       "   (paper bound: 2 for C and A)")
+  }
+
+  test("n axis: L, C, A and Uni ns/point and chunk count on TAO 20k to 568k") {
+    val truth = TimeSeriesGen.tao(568000, seed = 1)
+    val dirty = ErrorInjector.inject(truth, 0.10, ErrorInjector.Together, seed = 2)
+    val cfg = Harness.configFrom(truth, 10)
+    val ns = Seq(20000, 50000, 100000, 200000, 400000, 568000)
+    val rows = ns.map { n =>
+      val xs = dirty.take(n)
+      Seq(MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscA(cfg.sc), MtcscUni(cfg.uniScs)).map(Cell(s"TAO ${n / 1000}k", 10, _, xs))
+    }
+    time(rows.flatten)
+
+    println(s"== kernel ns/point over n, w = 10 ($host) ==")
+    println(f"${"input"}%-22s ${"chunks"}%6s ${"L"}%8s ${"C"}%8s ${"A"}%8s ${"Uni"}%8s")
+    for ((row, n) <- rows.zip(ns))
+      println(f"${row.head.input}%-22s ${Chunked.count(n - 1)}%6d " + row.map(c => f"${c.median}%8.0f").mkString(" "))
+    println(f"${"log-log slope in n"}%-22s ${""}%6s " +
+      (0 until 4).map(m => f"${slope(ns.map(_.toDouble), rows.zip(ns).map { case (r, n) => r(m).median * n })}%8.2f")
+        .mkString(" ") + "   (paper: 1 for every method)")
+  }
+
+  /** Runs every cell `Warm` times untimed, then `Reps` times timed. */
+  private def time(cells: Seq[Cell]): Unit = {
+    for (_ <- 0 until Warm; c <- cells) c.run()
+    cells.foreach(_.ns.clear())
+    for (_ <- 0 until Reps; c <- cells) c.run()
+  }
+
+  private def host: String = {
+    val rt = Runtime.getRuntime
+    s"${rt.availableProcessors} cores, max heap ${rt.maxMemory >> 20} MB, median of $Reps after $Warm warm rounds"
+  }
+}
+
+object KernelScalingBench {
+  import org.scalatest.Assertions._
+
+  private val Warm = 2
+  private val Reps = 5
+
+  final case class Cell(input: String, w: Double, cleaner: Cleaner, xs: Array[TimePoint]) {
+    val ns = scala.collection.mutable.ArrayBuffer.empty[Double]
+    private var first: Array[TimePoint] = null
+
+    def run(): Unit = {
+      val t0 = System.nanoTime()
+      val out = cleaner.clean(xs)
+      ns += (System.nanoTime() - t0).toDouble / xs.length
+      if (first == null) first = out
+      else assert(out.indices.forall(i => java.util.Arrays.equals(out(i).v, first(i).v)),
+        s"$input w=$w ${cleaner.name}: run ${ns.size} differs from the first")
+    }
+
+    def median: Double = ns.sorted.apply(ns.size / 2)
   }
 }

@@ -17,23 +17,35 @@ final case class MtcscA(
     tau: Double = 0.75,
     m: Int = 150,
     beta: Double = 0.75,
-) extends Cleaner {
+) extends Chunked.Online {
   require(b >= 2, s"MTCSC-A needs at least 2 buckets, got b = $b")
   require(m >= 1, s"MTCSC-A needs windows of at least 1 speed, got m = $m")
   require(beta > 0, s"MTCSC-A needs a positive beta, got $beta")
   require(tau >= 0, s"MTCSC-A needs a non-negative threshold, got tau = $tau")
   override def name: String = "MTCSC-A"
 
-  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
-    val state = new MtcscA.AdaptiveState(b, tau, m, beta)
-    val scratch = new MtcscC.Scratch
-    var sc = initial
-    var k = 1
-    while (k < xs.length) {
-      val s = state.update(xs(k - 1), xs(k), sc.s)
+  private[core] override def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit =
+    Chunked.repair(xs, out, bounds, initial.w, initial.s, new Run(xs, _, _))
+
+  /** A run of Algorithm 5 whose first step is at `lo`, from bound `s0`.
+    * Its speed windows hold raw speeds only, so they start as any run's
+    * that reached lo: the last 2m positive-dt raw speeds before lo.
+    */
+  private final class Run(all: Array[TimePoint], lo: Int, s0: Double) extends Chunked.Run(s0) {
+    private val state = new MtcscA.AdaptiveState(b, tau, m, beta)
+    private var sc = SpeedConstraint(s0, initial.w)
+    private val scratch = new MtcscC.Scratch
+    locally {
+      var from = lo
+      var speeds = 0
+      while (from > 1 && speeds < 2 * m) { from -= 1; if (all(from).t > all(from - 1).t) speeds += 1 }
+      while (from < lo) { state.update(all(from - 1), all(from), s0); from += 1 }
+    }
+
+    def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int): Unit = {
+      s = state.update(xs(k - 1), xs(k), s)
       if (s != sc.s) { sc = SpeedConstraint(s, initial.w); scratch.reset() }
-      MtcscC.step(out, xs, k, xs.length, sc, scratch, closed = true)
-      k += 1
+      MtcscC.step(out, xs, k, n, sc, scratch, closed = true)
     }
   }
 }

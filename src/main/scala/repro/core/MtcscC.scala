@@ -10,11 +10,11 @@ package repro.core
   * the interpolation line (formula (6)). Unlike MTCSC-L this also fixes
   * *small errors* that satisfy the constraint but sit off the trend.
   */
-final case class MtcscC(sc: SpeedConstraint) extends Cleaner {
+final case class MtcscC(sc: SpeedConstraint) extends Chunked.Online {
   override def name: String = "MTCSC-C"
 
-  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
-    MtcscC.run(out, xs, sc, new MtcscC.Scratch)
+  private[core] override def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit =
+    Chunked.repair(xs, out, bounds, sc.w, sc.s, (_, _) => MtcscC.run(sc))
 }
 
 object MtcscC {
@@ -58,14 +58,11 @@ object MtcscC {
     def reset(): Unit = { end = 0; broken = -1 }
   }
 
-  /** Algorithm 4 over a whole series: repairs `out` (a copy of `xs`) in place. */
-  def run(out: Array[TimePoint], xs: Array[TimePoint], sc: SpeedConstraint, scratch: Scratch): Unit = {
-    scratch.reset()
-    var k = 1
-    while (k < xs.length) {
-      step(out, xs, k, xs.length, sc, scratch, closed = true)
-      k += 1
-    }
+  /** A run of Algorithm 4 under `sc`, with its own scratch. */
+  private[core] def run(sc: SpeedConstraint): Chunked.Run = new Chunked.Run(sc.s) {
+    private val scratch = new Scratch
+    def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int): Unit =
+      MtcscC.step(out, xs, k, n, sc, scratch, closed = true)
   }
 
   /** BuildCluster (Algorithm 3) over the succeeding points `xs[from, end)`

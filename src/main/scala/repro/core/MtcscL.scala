@@ -9,19 +9,20 @@ package repro.core
   * exhausted the previous repaired value is reused. Soundness w.r.t. the
   * speed constraint is guaranteed (Proposition 3.2).
   */
-final case class MtcscL(sc: SpeedConstraint) extends Cleaner {
+final case class MtcscL(sc: SpeedConstraint) extends Chunked.Online {
   override def name: String = "MTCSC-L"
 
-  override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
-    var k = 1
-    while (k < xs.length) {
-      MtcscL.step(out, xs, k, xs.length, sc, closed = true)
-      k += 1
-    }
-  }
+  private[core] override def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit =
+    Chunked.repair(xs, out, bounds, sc.w, sc.s, (_, _) => MtcscL.run(sc))
 }
 
 object MtcscL {
+
+  /** A run of Algorithm 2 under `sc`: it has no state beyond out(k-1). */
+  private[core] def run(sc: SpeedConstraint): Chunked.Run = new Chunked.Run(sc.s) {
+    def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int): Unit =
+      MtcscL.step(out, xs, k, n, sc, closed = true)
+  }
 
   /** The per-point decision, shared by the batch kernel and the streaming
     * operator: repairs `out(k)` (a copy of `xs(k)`) from the previous

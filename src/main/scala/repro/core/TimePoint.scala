@@ -61,32 +61,54 @@ object TimePoint {
     * in the same pass: timestamps finite and non-decreasing (duplicates
     * are allowed), values finite, and every point of the first point's
     * dimension. Throws an [[InputContractException]] naming the first bad
-    * index.
+    * index. A long series is checked and copied in the chunks of the
+    * online methods' driver ([[Chunked]]).
     */
   def checkedCopyOf(xs: Array[TimePoint]): Array[TimePoint] = {
     val out = new Array[TimePoint](xs.length)
+    check(xs, out, Chunked.bounds(0, xs.length))
+    out
+  }
+
+  /** Checks the input contract as [[checkedCopyOf]] does, copying nothing. */
+  def check(xs: Array[TimePoint]): Unit = check(xs, null, Chunked.bounds(0, xs.length))
+
+  /** Checks `xs` in the chunks between consecutive `bounds`, copying each
+    * point into `out` unless it is null, and rejects the first bad point:
+    * the first that any chunk reports.
+    */
+  private[core] def check(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit = {
+    val bad = new Array[Int](bounds.length - 1)
+    Chunked.forkJoin(bad.length)(c => bad(c) = firstBad(xs, bounds(c), bounds(c + 1), out))
+    bad.find(_ >= 0).foreach(reject(xs, _))
+  }
+
+  /** The first point of `xs[lo, hi)` that breaks the contract, or -1;
+    * copies the points before it into `out` unless it is null.
+    */
+  private def firstBad(xs: Array[TimePoint], lo: Int, hi: Int, out: Array[TimePoint]): Int = {
     val d = if (xs.isEmpty) 0 else xs(0).dim
-    var prevT = Double.NegativeInfinity
-    var i = 0
-    while (i < xs.length) {
+    var prevT = if (lo == 0) Double.NegativeInfinity else xs(lo - 1).t
+    var i = lo
+    while (i < hi) {
       val p = xs(i)
       val src = p.v
-      if (!java.lang.Double.isFinite(p.t) || p.t < prevT || src.length != d) reject(xs, i)
+      if (!java.lang.Double.isFinite(p.t) || p.t < prevT || src.length != d) return i
       // Checking each value as it is copied keeps this as fast as
       // `copyOf`; checking before or after a clone costs markedly more.
-      val v = new Array[Double](d)
+      val v = if (out == null) null else new Array[Double](d)
       var l = 0
       while (l < d) {
         val x = src(l)
-        if (!java.lang.Double.isFinite(x)) reject(xs, i)
-        v(l) = x
+        if (!java.lang.Double.isFinite(x)) return i
+        if (v != null) v(l) = x
         l += 1
       }
       prevT = p.t
-      out(i) = TimePoint(p.t, v)
+      if (v != null) out(i) = TimePoint(p.t, v)
       i += 1
     }
-    out
+    -1
   }
 
   /** The error for point i, the first that breaks the input contract. */

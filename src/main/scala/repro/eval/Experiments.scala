@@ -260,7 +260,7 @@ object Experiments {
     "table3" -> (_ => formatTable3()),
     "table4" -> { args =>
       val n = args.headOption.map(_.toInt).getOrElse(11000)
-      val spark = SparkSession.builder
+      val spark = SparkSession.builder()
         .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
         .appName("mtcsc-table4").getOrCreate()
       try formatTable4(table4(spark, n)) finally spark.stop()

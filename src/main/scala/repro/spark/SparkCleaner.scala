@@ -354,7 +354,8 @@ object SparkCleaner {
     val blocks = flat.select(cols: _*).queryExecution.toRdd.mapPartitions(Block.packFlat(_, dims))
     flat.sparkSession.createDataset(blocks)(blockEncoder).groupByKey(_.seriesId)(Encoders.scalaLong)
       .flatMapGroups { (id, group) =>
-        val pts = InputContractException.inSeries(id)(TimePoint.checkedCopyOf(Block.merge(group)))
+        val pts = Block.merge(group)
+        InputContractException.inSeries(id)(TimePoint.check(pts))
         (1 until pts.length).iterator.collect { case i if pts(i).t - pts(i - 1).t > 0 =>
           val speed = pts(i).dist(pts(i - 1)) / (pts(i).t - pts(i - 1).t)
           Violation(id, pts(i).t, speed, if (speed > s) 1 else 0)

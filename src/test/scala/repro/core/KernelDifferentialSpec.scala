@@ -14,59 +14,7 @@ import repro.eval.Harness
   * sampling step to many.
   */
 class KernelDifferentialSpec extends AnyFunSuite {
-
-  private def forAllSampled[A](gen: Gen[A], trials: Int)(check: A => Unit): Unit =
-    for (i <- 0 until trials) check(gen.pureApply(Gen.Parameters.default, Seed(i.toLong)))
-
-  final case class Case(xs: Array[TimePoint], sc: SpeedConstraint, seed: Long) {
-    override def toString: String = s"Case(n=${xs.length}, D=${xs.headOption.map(_.dim)}, $sc, seed=$seed)"
-  }
-
-  /** A random walk (speed about 1 per unit time) sampled at gaps of 0
-    * (a duplicate timestamp) or 0.25-2, with a share `rate` of points
-    * hit by errors: far outliers, small off-trend shifts, and runs of a
-    * shared dirty value.
-    */
-  private val caseGen: Gen[Case] = for {
-    seed <- Gen.choose(0L, Long.MaxValue)
-    n <- Gen.choose(2, 240)
-    d <- Gen.oneOf(1, 2, 3, 8)
-    rate <- Gen.oneOf(0.0, 0.05, 0.2, 0.5, 0.9)
-    dup <- Gen.oneOf(0.0, 0.1, 0.3)
-    w <- Gen.oneOf(0.5, 1.0, 2.0, 5.0, 10.0, 30.0)
-    s <- Gen.choose(0.3, 3.0)
-  } yield {
-    val r = new java.util.Random(seed)
-    var t = 0.0
-    val x = new Array[Double](d)
-    var runLeft = 0
-    var runValue: Array[Double] = null
-    val xs = Array.tabulate(n) { _ =>
-      if (r.nextDouble() >= dup) t += 0.25 + 1.75 * r.nextDouble()
-      for (l <- 0 until d) x(l) += r.nextGaussian() / math.sqrt(d.toDouble)
-      val v = x.clone()
-      if (runLeft > 0) { runLeft -= 1; System.arraycopy(runValue, 0, v, 0, d) }
-      else if (r.nextDouble() < rate) r.nextInt(3) match {
-        case 0 => for (l <- 0 until d) v(l) += (r.nextDouble() - 0.5) * 100
-        case 1 => v(r.nextInt(d)) += (if (r.nextBoolean()) 1 else -1) * (0.5 + 2.5 * r.nextDouble())
-        case _ =>
-          runLeft = r.nextInt(6)
-          runValue = Array.fill(d)(r.nextGaussian() * 40)
-          System.arraycopy(runValue, 0, v, 0, d)
-      }
-      TimePoint(t, v)
-    }
-    Case(xs, SpeedConstraint(s, w), seed)
-  }
-
-  private def assertSame(got: Array[TimePoint], want: Array[TimePoint], clue: Any): Unit = {
-    assert(got.length == want.length, clue)
-    for (i <- got.indices) {
-      assert(got(i).t == want(i).t, s"$clue: t at $i")
-      assert(java.util.Arrays.equals(got(i).v, want(i).v),
-        s"$clue: point $i is ${got(i)}, reference ${want(i)}")
-    }
-  }
+  import KernelDifferentialSpec._
 
   test("pruned MTCSC-G returns the O(n²) DP's FixList") {
     forAllSampled(caseGen, 600) { c =>
@@ -228,5 +176,62 @@ class KernelDifferentialSpec extends AnyFunSuite {
     val a = MtcscA(sc)
     assertSame(a.clean(gps.dirty), Reference.cleanA(gps.dirty, a)._1, "A gpsWalk")
     assertSame(MtcscUni(uniScs).clean(gps.dirty), Reference.cleanUni(gps.dirty, uniScs), "Uni gpsWalk")
+  }
+}
+
+object KernelDifferentialSpec {
+  import org.scalatest.Assertions._
+
+  def forAllSampled[A](gen: Gen[A], trials: Int)(check: A => Unit): Unit =
+    for (i <- 0 until trials) check(gen.pureApply(Gen.Parameters.default, Seed(i.toLong)))
+
+  final case class Case(xs: Array[TimePoint], sc: SpeedConstraint, seed: Long) {
+    override def toString: String = s"Case(n=${xs.length}, D=${xs.headOption.map(_.dim)}, $sc, seed=$seed)"
+  }
+
+  /** A random walk (speed about 1 per unit time) sampled at gaps of 0
+    * (a duplicate timestamp) or 0.25-2, with a share `rate` of points
+    * hit by errors: far outliers, small off-trend shifts, and runs of a
+    * shared dirty value.
+    */
+  val caseGen: Gen[Case] = for {
+    seed <- Gen.choose(0L, Long.MaxValue)
+    n <- Gen.choose(2, 240)
+    d <- Gen.oneOf(1, 2, 3, 8)
+    rate <- Gen.oneOf(0.0, 0.05, 0.2, 0.5, 0.9)
+    dup <- Gen.oneOf(0.0, 0.1, 0.3)
+    w <- Gen.oneOf(0.5, 1.0, 2.0, 5.0, 10.0, 30.0)
+    s <- Gen.choose(0.3, 3.0)
+  } yield {
+    val r = new java.util.Random(seed)
+    var t = 0.0
+    val x = new Array[Double](d)
+    var runLeft = 0
+    var runValue: Array[Double] = null
+    val xs = Array.tabulate(n) { _ =>
+      if (r.nextDouble() >= dup) t += 0.25 + 1.75 * r.nextDouble()
+      for (l <- 0 until d) x(l) += r.nextGaussian() / math.sqrt(d.toDouble)
+      val v = x.clone()
+      if (runLeft > 0) { runLeft -= 1; System.arraycopy(runValue, 0, v, 0, d) }
+      else if (r.nextDouble() < rate) r.nextInt(3) match {
+        case 0 => for (l <- 0 until d) v(l) += (r.nextDouble() - 0.5) * 100
+        case 1 => v(r.nextInt(d)) += (if (r.nextBoolean()) 1 else -1) * (0.5 + 2.5 * r.nextDouble())
+        case _ =>
+          runLeft = r.nextInt(6)
+          runValue = Array.fill(d)(r.nextGaussian() * 40)
+          System.arraycopy(runValue, 0, v, 0, d)
+      }
+      TimePoint(t, v)
+    }
+    Case(xs, SpeedConstraint(s, w), seed)
+  }
+
+  def assertSame(got: Array[TimePoint], want: Array[TimePoint], clue: Any): Unit = {
+    assert(got.length == want.length, clue)
+    for (i <- got.indices) {
+      assert(got(i).t == want(i).t, s"$clue: t at $i")
+      assert(java.util.Arrays.equals(got(i).v, want(i).v),
+        s"$clue: point $i is ${got(i)}, reference ${want(i)}")
+    }
   }
 }

@@ -139,4 +139,36 @@ class PropertiesSpec extends AnyFunSuite {
       out1.indices.foreach(i => assert(out2(i).sameValues(out1(i), 1e-6)))
     }
   }
+
+  // Oracle-free properties of G, L and C over the differential tests' random
+  // walks (duplicate timestamps, error rates up to 90%).
+
+  private def walks(check: (KernelDifferentialSpec.Case, Cleaner) => Unit): Unit =
+    KernelDifferentialSpec.forAllSampled(KernelDifferentialSpec.caseGen, 500) { c =>
+      Seq[Cleaner](MtcscG(c.sc), MtcscL(c.sc), MtcscC(c.sc)).foreach(check(c, _))
+    }
+
+  test("G, L and C are idempotent bit for bit") {
+    walks { (c, cleaner) =>
+      val once = cleaner.clean(c.xs)
+      KernelDifferentialSpec.assertSame(cleaner.clean(once), once, s"$c ${cleaner.name}")
+    }
+  }
+
+  test("G, L and C repairs are sound on consecutive in-window pairs") {
+    walks { (c, cleaner) =>
+      val out = cleaner.clean(c.xs)
+      for (i <- 1 until out.length; dt = out(i).t - out(i - 1).t if dt > 0 && dt <= c.sc.w)
+        assert(c.sc.speedOk(out(i - 1), out(i)), s"$c ${cleaner.name}: pair ${i - 1}, $i")
+    }
+  }
+
+  test("G, L and C repair the same points after +1000 on every value") {
+    def repaired(out: Array[TimePoint], xs: Array[TimePoint]) =
+      out.indices.filter(i => !java.util.Arrays.equals(out(i).v, xs(i).v))
+    walks { (c, cleaner) =>
+      val shifted = c.xs.map(p => TimePoint(p.t, p.v.map(_ + 1000)))
+      assert(repaired(cleaner.clean(shifted), shifted) == repaired(cleaner.clean(c.xs), c.xs), s"$c ${cleaner.name}")
+    }
+  }
 }
