@@ -42,9 +42,10 @@ object Chunked {
       repair(xs, out, bounds(1, xs.length))
   }
 
-  /** The fewest points in a chunk. At 4 cores and above this length a
-    * chunk's steps outweigh its fork and its splice for every method
-    * (`KernelScalingBench`'s n axis; DESIGN §4c).
+  /** The fewest points in a chunk. In chunks of this length and longer
+    * every method ran faster than in one chunk; in shorter ones MTCSC-A's
+    * splices, which run until its next recapture, could cost more than
+    * its speculation saved (DESIGN §4c).
     */
   private final val MinChunk = 16384
 
