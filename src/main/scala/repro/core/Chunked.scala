@@ -27,7 +27,7 @@ object Chunked {
     * raw points `xs[k+1, n)`; `s` is the speed bound the run's next step
     * starts from, which only MTCSC-A's recaptures move.
     */
-  abstract class Run(var s: Double) {
+  private[core] abstract class Run(var s: Double) {
     def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int): Unit
   }
 
@@ -52,11 +52,15 @@ object Chunked {
   /** The number of chunks `n` points are split into. */
   def count(n: Int): Int = math.max(1, math.min(Runtime.getRuntime.availableProcessors, n / MinChunk))
 
-  /** Bounds that split [from, n) into [[count]]`(n - from)` near-equal chunks. */
-  private[core] def bounds(from: Int, n: Int): Array[Int] = {
-    val c = count(n - from)
-    Array.tabulate(c + 1)(i => from + ((n - from).toLong * i / c).toInt)
-  }
+  /** Bounds that split [from, n) into [[count]]`(n - from)` near-equal
+    * chunks, or into none when it is empty.
+    */
+  private[core] def bounds(from: Int, n: Int): Array[Int] =
+    if (n <= from) Array(from)
+    else {
+      val c = count(n - from)
+      Array.tabulate(c + 1)(i => from + ((n - from).toLong * i / c).toInt)
+    }
 
   /** Runs `body(0)`, …, `body(count - 1)`: inline when `count` is 1, else as
     * ForkJoin tasks of the pool the caller runs in (the common pool outside
@@ -69,24 +73,22 @@ object Chunked {
 
   /** Runs the method `start` makes (at a step index, from a bound `s`) over
     * `xs` into `out` in the chunks between `bounds`, whole points at a time,
-    * from the bound `s0`.
+    * from constraint `sc`.
     */
-  private[core] def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int], w: Double, s0: Double,
+  private[core] def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int], sc: SpeedConstraint,
                            start: (Int, Double) => Run): Unit =
-    run(Array(Array.tabulate(bounds.length - 1)(i => new Chunk(xs, out, -1, bounds(i), bounds(i + 1), w, s0, start))))
+    run(Array(Array.tabulate(bounds.length - 1)(i => new Chunk(xs, out, -1, bounds(i), bounds(i + 1), sc, start))))
 
   /** MTCSC-C under `scs(l)` over each dimension l of `xs` into `out`: one
     * task per dimension and chunk, each on univariate slices.
     */
   private[core] def repairPerDimension(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int],
                                        scs: Array[SpeedConstraint]): Unit =
-    run(Array.tabulate(scs.length, bounds.length - 1) { (l, i) =>
-      val sc = scs(l)
-      new Chunk(xs, out, l, bounds(i), bounds(i + 1), sc.w, sc.s, (_, _) => MtcscC.run(sc))
-    })
+    run(Array.tabulate(scs.length, bounds.length - 1)((l, i) =>
+      new Chunk(xs, out, l, bounds(i), bounds(i + 1), scs(l), (_, _) => MtcscC.run(scs(l)))))
 
   /** Speculates every chunk at once, then splices each row in order. */
-  private def run(rows: Array[Array[Chunk]]): Unit = if (rows.nonEmpty && rows(0).nonEmpty) {
+  private def run(rows: Array[Array[Chunk]]): Unit = if (rows.nonEmpty) {
     val c = rows(0).length
     if (c == 1) rows.foreach(_(0).speculate())
     else forkJoin(rows.length * c)(j => rows(j / c)(j % c).speculate())
@@ -97,7 +99,8 @@ object Chunked {
     * points, or only dimension `dim` of them when `dim` >= 0.
     */
   private final class Chunk(all: Array[TimePoint], target: Array[TimePoint], dim: Int, lo: Int, hi: Int,
-                            w: Double, s0: Double, start: (Int, Double) => Run) {
+                            sc: SpeedConstraint, start: (Int, Double) => Run) {
+    private val s0 = sc.s
     /** The raw points [lo-1, end), where `end` is the first point after
       * t(hi-1) + w: every window of the chunk's steps.
       */
@@ -118,7 +121,7 @@ object Chunked {
 
     /** Runs the steps from the guessed state. */
     def speculate(): Unit = {
-      val last = all(hi - 1).t + w
+      val last = all(hi - 1).t + sc.w
       var end = hi
       while (end < all.length && all(end).t <= last) end += 1
       if (dim >= 0) {

@@ -25,7 +25,7 @@ final case class MtcscA(
   override def name: String = "MTCSC-A"
 
   private[core] override def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit =
-    Chunked.repair(xs, out, bounds, initial.w, initial.s, new Run(xs, _, _))
+    Chunked.repair(xs, out, bounds, initial, new Run(xs, _, _))
 
   /** A run of Algorithm 5 whose first step is at `lo`, from bound `s0`.
     * Its speed windows hold raw speeds only, so they start as any run's

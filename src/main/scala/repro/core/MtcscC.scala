@@ -14,7 +14,7 @@ final case class MtcscC(sc: SpeedConstraint) extends Chunked.Online {
   override def name: String = "MTCSC-C"
 
   private[core] override def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit =
-    Chunked.repair(xs, out, bounds, sc.w, sc.s, (_, _) => MtcscC.run(sc))
+    Chunked.repair(xs, out, bounds, sc, (_, _) => MtcscC.run(sc))
 }
 
 object MtcscC {

@@ -13,7 +13,7 @@ final case class MtcscL(sc: SpeedConstraint) extends Chunked.Online {
   override def name: String = "MTCSC-L"
 
   private[core] override def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit =
-    Chunked.repair(xs, out, bounds, sc.w, sc.s, (_, _) => MtcscL.run(sc))
+    Chunked.repair(xs, out, bounds, sc, (_, _) => MtcscL.run(sc))
 }
 
 object MtcscL {

@@ -90,6 +90,13 @@ class ChunkedSpec extends AnyFunSuite {
     assert(MtcscL(sc).clean(ramp(100000)).forall(_.v.forall(_ == 0.0)))
   }
 
+  test("empty, one-point and zero-dimension series come back as copies") {
+    val sc = SpeedConstraint(1, 2)
+    for (xs <- Seq(Array.empty[TimePoint], Array(TimePoint(0, Array(5.0, 6.0))), Array.fill(3)(TimePoint(0, Array.empty[Double])));
+         cleaner <- online(sc, xs.headOption.fold(2)(_.dim)))
+      assertSame(cleaner.clean(xs), xs, s"$cleaner n=${xs.length}")
+  }
+
   test("long-series clean calls made at once from common-pool tasks finish and equal the sequential run") {
     val truth = TimeSeriesGen.tao(100000, seed = 6)
     val cfg = Harness.configFrom(truth, w = 10)
