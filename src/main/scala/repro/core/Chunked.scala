@@ -116,8 +116,8 @@ object Chunked {
     private var movedTo = new Array[Double](4)
     private var moves = 0
 
-    /** The raw point i, or its dimension `dim` as a univariate point. */
-    private def point(i: Int): TimePoint = if (dim < 0) all(i) else TimePoint.uni(all(i).t, all(i).v(dim))
+    /** Dimension `dim` of the raw point i, as a univariate point. */
+    private def uni(i: Int): TimePoint = TimePoint.uni(all(i).t, all(i).v(dim))
 
     /** Runs the steps from the guessed state. */
     def speculate(): Unit = {
@@ -125,8 +125,8 @@ object Chunked {
       var end = hi
       while (end < all.length && all(end).t <= last) end += 1
       if (dim >= 0) {
-        xs = Array.tabulate(end - lo + 1)(j => point(lo - 1 + j))
-        out = Array.tabulate(hi - lo + 1)(j => point(lo - 1 + j))
+        xs = Array.tabulate(end - lo + 1)(j => uni(lo - 1 + j))
+        out = Array.tabulate(hi - lo + 1)(j => uni(lo - 1 + j))
       } else if (lo == 1 && end == all.length && hi == target.length) {
         xs = all
         out = target
