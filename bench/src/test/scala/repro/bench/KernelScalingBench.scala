@@ -5,7 +5,7 @@ import repro.core._
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.Harness
 
-/** Kernel ns/point against the paper's bounds, along two axes.
+/** Kernel ns/point against the paper's bounds, along two axes, and on short series.
   *
   * - The window `w`, for MTCSC-C, A and Uni against O(w²Dn): TAO 100k × 3
   *   with 10% Together errors at w = 5 … 80, and the gpsWalk 200k × 2
@@ -14,6 +14,10 @@ import repro.eval.Harness
   *   O(wDn) and O(w²Dn): prefixes of TAO 568k × 3 with 10% Together errors
   *   at w = 10, from 20k points to all of them, with the number of chunks
   *   the batch driver splits each into ([[Chunked.count]]).
+  * - Short series, for MTCSC-C and A: the 192 gpsWalk 2k × 2 keys of a
+  *   fleet, each cleaned by its own `clean` call, as perfbench's fleet
+  *   core loop runs them. Every call starts from a fresh state, so the
+  *   per-state set-up cost shows here and not on the long series.
   *
   * Every cell runs `Warm` untimed rounds, then `Reps` timed ones, round
   * robin over the cells of its axis so that each is timed in the same JIT
@@ -34,7 +38,7 @@ class KernelScalingBench extends AnyFunSuite {
   test("w axis: C, A and Uni ns/point on TAO 100k and gpsWalk 200k") {
     def cells(input: String, w: Double, sc: SpeedConstraint, uniScs: Array[SpeedConstraint],
               xs: Array[TimePoint]): Seq[Cell] =
-      Seq(MtcscC(sc), MtcscA(sc), MtcscUni(uniScs)).map(Cell(input, w, _, xs))
+      Seq(MtcscC(sc), MtcscA(sc), MtcscUni(uniScs)).map(Cell(input, w, _, Seq(xs)))
 
     val truth = TimeSeriesGen.tao(100000, seed = 1)
     val dirty = ErrorInjector.inject(truth, 0.10, ErrorInjector.Together, seed = 2)
@@ -64,7 +68,7 @@ class KernelScalingBench extends AnyFunSuite {
     val ns = Seq(20000, 50000, 100000, 200000, 400000, 568000)
     val rows = ns.map { n =>
       val xs = dirty.take(n)
-      Seq(MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscA(cfg.sc), MtcscUni(cfg.uniScs)).map(Cell(s"TAO ${n / 1000}k", 10, _, xs))
+      Seq(MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscA(cfg.sc), MtcscUni(cfg.uniScs)).map(Cell(s"TAO ${n / 1000}k", 10, _, Seq(xs)))
     }
     time(rows.flatten)
 
@@ -75,6 +79,17 @@ class KernelScalingBench extends AnyFunSuite {
     println(f"${"log-log slope in n"}%-22s ${""}%6s " +
       (0 until 4).map(m => f"${slope(ns.map(_.toDouble), rows.zip(ns).map { case (r, n) => r(m).median * n })}%8.2f")
         .mkString(" ") + "   (paper: 1 for every method)")
+  }
+
+  test("short series: C and A ns/point over 192 gpsWalk 2k keys") {
+    val keys = (1 to 192).map(i => TimeSeriesGen.gpsWalk(2000, seed = 1000 + 2 * i).dirty)
+    val sc = SpeedConstraint(1.6, 30)
+    val row = Seq(MtcscC(sc), MtcscA(sc)).map(Cell("192 x gpsWalk 2k", 30, _, keys))
+    time(row)
+
+    println(s"== kernel ns/point over short series, one clean per key ($host) ==")
+    println(f"${"input"}%-22s ${"w"}%5s ${"C"}%8s ${"A"}%8s")
+    println(f"${row.head.input}%-22s ${row.head.w}%5.0f " + row.map(c => f"${c.median}%8.0f").mkString(" "))
   }
 
   /** Runs every cell `Warm` times untimed, then `Reps` times timed. */
@@ -96,16 +111,20 @@ object KernelScalingBench {
   private val Warm = 2
   private val Reps = 5
 
-  final case class Cell(input: String, w: Double, cleaner: Cleaner, xs: Array[TimePoint]) {
+  /** One cleaner over one or more series, each cleaned by its own call;
+    * ns/point is over all of their points.
+    */
+  final case class Cell(input: String, w: Double, cleaner: Cleaner, series: Seq[Array[TimePoint]]) {
     val ns = scala.collection.mutable.ArrayBuffer.empty[Double]
-    private var first: Array[TimePoint] = null
+    private val points = series.map(_.length).sum
+    private var first: Seq[Array[TimePoint]] = null
 
     def run(): Unit = {
       val t0 = System.nanoTime()
-      val out = cleaner.clean(xs)
-      ns += (System.nanoTime() - t0).toDouble / xs.length
+      val out = series.map(cleaner.clean)
+      ns += (System.nanoTime() - t0).toDouble / points
       if (first == null) first = out
-      else assert(out.indices.forall(i => java.util.Arrays.equals(out(i).v, first(i).v)),
+      else assert(out.zip(first).forall { case (o, f) => o.indices.forall(i => java.util.Arrays.equals(o(i).v, f(i).v)) },
         s"$input w=$w ${cleaner.name}: run ${ns.size} differs from the first")
     }
 

@@ -9,7 +9,9 @@ package repro.core
   * (s, inf)); when the KL divergence KL(W1 || W2) exceeds `tau` the data
   * characteristic changed and the constraint is re-captured as the 95th
   * percentile of W2 divided by `beta` (at least 1e-9, as in
-  * [[SpeedConstraint.capture]]).
+  * [[SpeedConstraint.capture]]). [[MtcscA.AdaptiveState]] keeps the
+  * windows, the KL verdict and the percentile up to date in O(b) per
+  * step, whatever m is.
   */
 final case class MtcscA(
     initial: SpeedConstraint,
@@ -57,37 +59,56 @@ object MtcscA {
     * constraint is a pure re-bucketing of the same values.
     *
     * The newest 2m speeds sit in one ring buffer, oldest first: W1 is
-    * its older half and W2 its newer half. Once both are full, the bucket
-    * counts of each are kept up to date as one speed enters W2, one moves
-    * from W2 to W1 and one leaves W1; they are recounted only when `s`
-    * differs from the `s` they were counted under. A recapture copies W2
-    * out of the ring into one buffer and selects its percentile there with
-    * [[SpeedConstraint.quantile]], the rule [[SpeedConstraint.capture]]
-    * applies.
+    * its older half and W2 its newer half. Once both are full, a step
+    * costs O(b), whatever m is; only a recount or a new selection costs
+    * O(m):
+    *  - The bucket counts of both windows are kept up to date as one
+    *    speed enters W2, one moves from W2 to W1 and one leaves W1; they
+    *    are recounted only when `s` differs from the `s` they were counted
+    *    under.
+    *  - The KL verdict is recomputed only when a count changed, as the sum
+    *    in bucket order of one term per count pair ([[klTerm]] over counts
+    *    divided by m, the terms of [[kl]]). Each pair's term is computed
+    *    once and then looked up, so the sum is the same doubles added in
+    *    the same order.
+    *  - A recapture keeps the percentile q it selected, with how many of
+    *    W2's speeds compare below and equal to q (`java.lang.Double.compare`,
+    *    the order of [[SpeedConstraint.quantile]]); each slide updates both
+    *    from the speed that leaves W2 and the one that enters it. While the
+    *    nearest rank r satisfies below <= r < below + equal, q is still W2's
+    *    r-th smallest speed, the very element `quantile` would select, and
+    *    it is returned as is. Otherwise W2 is copied out of the ring and
+    *    its percentile selected with `quantile`, the rule
+    *    [[SpeedConstraint.capture]] applies.
     */
   final class AdaptiveState(b: Int, tau: Double, m: Int, beta: Double) {
     private val ring = new Array[Double](2 * m)
     private var oldest = 0 // ring index of W1's first speed once both are full
     private var filled = 0
-    private val w2 = new Array[Double](m) // W2 copied out of the ring at a recapture
+    private val w2 = new Array[Double](m) // W2 copied out of the ring at a selection
     private val c1 = new Array[Int](b)
     private val c2 = new Array[Int](b)
-    private val p1 = new Array[Double](b)
-    private val p2 = new Array[Double](b)
     private var countedS = Double.NaN
     private var width = Double.NaN
     // Whether KL(W1 || W2) > tau; stale once the counts change.
     private var divergent = false
     private var stale = true
+    // terms(x)(y): the KL term of counts (x, y), NaN until computed. A row
+    // is allocated on first use while the memo holds under MemoEntries.
+    private val terms = new Array[Array[Double]](m + 1)
+    private var memoLeft = MemoEntries
+    // The last selected percentile q of W2, and how many of W2's speeds
+    // compare below it and equal to it. Until the first selection equal
+    // is 0, so the first firing selects.
+    private val rank = SpeedConstraint.nearestRank(m, Percentile)
+    private var selected = false
+    private var q = Double.NaN
+    private var below = 0
+    private var equal = 0
 
     private def at(i: Int): Double = {
       val j = oldest + i
       ring(if (j >= ring.length) j - ring.length else j)
-    }
-    private def copyOfW2(): Array[Double] = {
-      var i = 0
-      while (i < m) { w2(i) = at(m + i); i += 1 }
-      w2
     }
     private def bucketOf(v: Double): Int = bucket(v, b, countedS, width)
 
@@ -104,6 +125,55 @@ object MtcscA {
       }
     }
 
+    /** KL(W1 || W2) over the current counts. */
+    private def divergence(): Double = {
+      var acc = 0.0
+      var i = 0
+      while (i < b) {
+        if (c1(i) > 0) acc += term(c1(i), c2(i))
+        i += 1
+      }
+      acc
+    }
+
+    private def term(x: Int, y: Int): Double = {
+      var row = terms(x)
+      if (row == null) {
+        if (memoLeft <= m) return klTerm(x / m.toDouble, y / m.toDouble)
+        row = new Array[Double](m + 1)
+        java.util.Arrays.fill(row, Double.NaN)
+        terms(x) = row
+        memoLeft -= m + 1
+      }
+      var t = row(y)
+      if (t != t) { // NaN: not yet computed
+        t = klTerm(x / m.toDouble, y / m.toDouble)
+        row(y) = t
+      }
+      t
+    }
+
+    /** W2's nearest-rank percentile, selected again only when the kept q
+      * no longer holds rank r.
+      */
+    private def percentile(): Double = {
+      if (below > rank || rank >= below + equal) {
+        var i = 0
+        while (i < m) { w2(i) = at(m + i); i += 1 }
+        q = SpeedConstraint.quantile(w2, Percentile)
+        below = 0
+        equal = 0
+        i = 0
+        while (i < m) {
+          val c = java.lang.Double.compare(w2(i), q)
+          if (c < 0) below += 1 else if (c == 0) equal += 1
+          i += 1
+        }
+        selected = true
+      }
+      q
+    }
+
     /** Feed the speed of (p -> k); returns the (possibly updated) s. */
     def update(p: TimePoint, k: TimePoint, s: Double): Double = {
       val dt = k.t - p.t
@@ -116,13 +186,10 @@ object MtcscA {
       }
       if (s != countedS) { recount(s); stale = true }
       if (stale) {
-        // The distributions of the full windows: counts over m.
-        var i = 0
-        while (i < b) { p1(i) = c1(i) / m.toDouble; p2(i) = c2(i) / m.toDouble; i += 1 }
-        divergent = kl(p1, p2) > tau
+        divergent = divergence() > tau
         stale = false
       }
-      val out = if (divergent) SpeedConstraint.floorSpeed(SpeedConstraint.quantile(copyOfW2(), 0.95) / beta) else s
+      val out = if (divergent) SpeedConstraint.floorSpeed(percentile() / beta) else s
       // Slide: W1 drops its oldest speed and takes W2's oldest; W2 takes s1.
       val moving = at(m)
       val left = bucketOf(at(0))
@@ -135,11 +202,25 @@ object MtcscA {
         c2(entered) += 1
         stale = true
       }
+      if (selected) {
+        val c = java.lang.Double.compare(moving, q)
+        if (c < 0) below -= 1 else if (c == 0) equal -= 1
+        val d = java.lang.Double.compare(s1, q)
+        if (d < 0) below += 1 else if (d == 0) equal += 1
+      }
       ring(oldest) = s1
       oldest = if (oldest + 1 == ring.length) 0 else oldest + 1
       out
     }
   }
+
+  /** The percentile of W2 a recapture takes, before dividing by beta. */
+  private val Percentile = 0.95
+
+  /** The most KL terms one state memoises: 8 MB, every count pair up to
+    * m = 1,022. Beyond it a term is computed each time, to the same value.
+    */
+  private val MemoEntries = 1 << 20
 
   /** Bucket of speed `v`: b-1 equal intervals of `width = s / (b - 1)` over
     * [0, s] plus the overflow (s, inf). The one bucketing rule.
@@ -155,9 +236,12 @@ object MtcscA {
     var acc = 0.0
     var i = 0
     while (i < p.length) {
-      if (p(i) > 0) acc += p(i) * math.log(p(i) / math.max(q(i), 1e-10))
+      if (p(i) > 0) acc += klTerm(p(i), q(i))
       i += 1
     }
     acc
   }
+
+  /** The term of [[kl]] for probabilities p > 0 and q. */
+  private[core] def klTerm(p: Double, q: Double): Double = p * math.log(p / math.max(q, 1e-10))
 }

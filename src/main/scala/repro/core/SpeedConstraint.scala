@@ -71,9 +71,13 @@ object SpeedConstraint {
   def quantile(sample: Array[Double], q: Double): Double = {
     require(sample.nonEmpty)
     val n = sample.length
-    select(sample, math.min(n - 1, math.max(0, math.ceil(q * n).toInt - 1)),
-      2 * (32 - Integer.numberOfLeadingZeros(n)))
+    select(sample, nearestRank(n, q), 2 * (32 - Integer.numberOfLeadingZeros(n)))
   }
+
+  /** The index [[quantile]] selects in a sorted sample of `n`:
+    * ceil(q·n) − 1, clamped to [0, n).
+    */
+  private[core] def nearestRank(n: Int, q: Double): Int = math.min(n - 1, math.max(0, math.ceil(q * n).toInt - 1))
 
   /** Hoare's FIND: partitions `a` around a median-of-three pivot until the
     * r-th smallest element sits at `a(r)`, and returns it. After `rounds`

@@ -110,6 +110,81 @@ class MtcscASpec extends AnyFunSuite {
     assert(pts.indices.forall(i => a(i).sameValues(c(i))))
   }
 
+  /** A 1-D series of segments that stand still, move in a few quantised
+    * steps (so many speeds tie at the percentile), or move at random, with
+    * time gaps of 0, 1 or 2.
+    */
+  private def segmented(n: Int, m: Int, seed: Long): Array[TimePoint] = {
+    val rnd = new java.util.Random(seed)
+    val xs = new Array[TimePoint](n)
+    var (t, x) = (0.0, 0.0)
+    var kind, left = 0
+    for (i <- 0 until n) {
+      if (left == 0) { kind = rnd.nextInt(4); left = m / 2 + 1 + rnd.nextInt(3 * m + 1) }
+      left -= 1
+      if (i > 0) {
+        t += (if (rnd.nextInt(20) == 0) 0 else 1 + rnd.nextInt(2))
+        x += (kind match {
+          case 0 => 0.0
+          case 1 => 0.25 * rnd.nextInt(3)
+          case 2 => 0.25 * (5 + rnd.nextInt(3))
+          case _ => rnd.nextGaussian()
+        })
+      }
+      xs(i) = TimePoint.uni(t, x)
+    }
+    xs
+  }
+
+  /** Feeds `xs` to the kernel's and the reference's state, each with its
+    * own s, checks that the two s agree bit for bit at every step, and
+    * returns how many steps moved s.
+    */
+  private def sameTrajectory(xs: Array[TimePoint], b: Int, tau: Double, m: Int, what: String): Int = {
+    val st = new MtcscA.AdaptiveState(b, tau, m, 0.75)
+    val ref = new Reference.AdaptiveState(b, tau, m, 0.75)
+    var (s, r, changes) = (1.0, 1.0, 0)
+    for (k <- 1 until xs.length) {
+      val s2 = st.update(xs(k - 1), xs(k), s)
+      r = ref.update(xs(k - 1), xs(k), r)
+      assert(java.lang.Double.doubleToRawLongBits(s2) == java.lang.Double.doubleToRawLongBits(r),
+        s"$what step $k: $s2 against the reference's $r")
+      if (s2 != s) changes += 1
+      s = s2
+    }
+    changes
+  }
+
+  test("AdaptiveState returns the reference's s bit for bit at every step") {
+    val changes = (for (m <- Seq(1, 2, 20, 150); b <- Seq(2, 6); tau <- Seq(0.0, 0.75); seed <- 1 to 3)
+      yield sameTrajectory(segmented(2 * m + 3000, m, seed * 1000L + m), b, tau, m, s"m=$m b=$b tau=$tau seed=$seed")).sum
+    assert(changes > 1000, s"only $changes recaptures moved s")
+  }
+
+  test("AdaptiveState matches the reference once its KL memo is full") {
+    // At m = 16,383 a memo row holds 16,384 terms, so 64 distinct W1
+    // counts fill the memo and the terms of later ones are computed each
+    // time. On a random walk KL stays near 1e-4, so a threshold there
+    // flips the verdict often.
+    val m = 16383
+    val rnd = new java.util.Random(7)
+    var x = 0.0
+    val xs = Array.tabulate(2 * m + 4000) { i => if (i > 0) x += rnd.nextGaussian(); TimePoint.uni(i.toDouble, x) }
+    val changes = sameTrajectory(xs, 6, 1e-4, m, s"m=$m")
+    assert(changes > 100, s"only $changes recaptures moved s")
+  }
+
+  test("MTCSC-A's memory grows with use, not with m squared") {
+    // The windows of m = 100,000 never fill on 1,000 points, so s never
+    // changes; a KL table sized (m + 1)² up front would need about 80 GB.
+    val rnd = new java.util.Random(5)
+    val xs = Array.tabulate(1000)(i => TimePoint.uni(i.toDouble, i * 0.3 + (if (rnd.nextInt(20) == 0) 50.0 else 0.0)))
+    val sc = SpeedConstraint(1.0, 5.0)
+    val a = MtcscA(sc, m = 100000).clean(xs)
+    val c = MtcscC(sc).clean(xs)
+    assert(xs.indices.forall(i => java.util.Arrays.equals(a(i).v, c(i).v)))
+  }
+
   test("MTCSC-A rejects parameters it cannot run with") {
     val sc = SpeedConstraint(1.0, 5.0)
     for ((make, detail) <- Seq[(() => MtcscA, String)](
