@@ -13,8 +13,10 @@ import repro.eval.Harness
   * - The length `n`, for MTCSC-L, C, A and Uni against the exponent 1 of
   *   O(wDn) and O(w²Dn): prefixes of TAO 568k × 3 with 10% Together errors
   *   at w = 10, from 20k points to all of them, with the number of chunks
-  *   the batch driver splits each into ([[Chunked.count]]).
-  * - Short series, for MTCSC-C and A: the 192 gpsWalk 2k × 2 keys of a
+  *   the batch driver splits each run into ([[Chunked.count]] of its
+  *   steps): n − 1 for L, C and A, and D·(n − 1) for Uni, whose
+  *   dimensions run one after another.
+  * - Short series, for MTCSC-C, A and Uni: the 192 gpsWalk 2k × 2 keys of a
   *   fleet, each cleaned by its own `clean` call, as perfbench's fleet
   *   core loop runs them. Every call starts from a fresh state, so the
   *   per-state set-up cost shows here and not on the long series.
@@ -73,22 +75,24 @@ class KernelScalingBench extends AnyFunSuite {
     time(rows.flatten)
 
     println(s"== kernel ns/point over n, w = 10 ($host) ==")
-    println(f"${"input"}%-22s ${"chunks"}%6s ${"L"}%8s ${"C"}%8s ${"A"}%8s ${"Uni"}%8s")
+    println(f"${"input"}%-22s ${"chunks"}%6s ${"Uni's"}%6s ${"L"}%8s ${"C"}%8s ${"A"}%8s ${"Uni"}%8s")
     for ((row, n) <- rows.zip(ns))
-      println(f"${row.head.input}%-22s ${Chunked.count(n - 1)}%6d " + row.map(c => f"${c.median}%8.0f").mkString(" "))
-    println(f"${"log-log slope in n"}%-22s ${""}%6s " +
+      println(f"${row.head.input}%-22s ${Chunked.count(n - 1)}%6d ${Chunked.count(cfg.uniScs.length.toLong * (n - 1))}%6d " +
+        row.map(c => f"${c.median}%8.0f").mkString(" "))
+    println(f"${"log-log slope in n"}%-22s ${""}%6s ${""}%6s " +
       (0 until 4).map(m => f"${slope(ns.map(_.toDouble), rows.zip(ns).map { case (r, n) => r(m).median * n })}%8.2f")
         .mkString(" ") + "   (paper: 1 for every method)")
   }
 
-  test("short series: C and A ns/point over 192 gpsWalk 2k keys") {
-    val keys = (1 to 192).map(i => TimeSeriesGen.gpsWalk(2000, seed = 1000 + 2 * i).dirty)
+  test("short series: C, A and Uni ns/point over 192 gpsWalk 2k keys") {
+    val walks = (1 to 192).map(i => TimeSeriesGen.gpsWalk(2000, seed = 1000 + 2 * i))
     val sc = SpeedConstraint(1.6, 30)
-    val row = Seq(MtcscC(sc), MtcscA(sc)).map(Cell("192 x gpsWalk 2k", 30, _, keys))
+    val uniScs = Harness.configFrom(walks.head.truth, 30).uniScs
+    val row = Seq(MtcscC(sc), MtcscA(sc), MtcscUni(uniScs)).map(Cell("192 x gpsWalk 2k", 30, _, walks.map(_.dirty)))
     time(row)
 
     println(s"== kernel ns/point over short series, one clean per key ($host) ==")
-    println(f"${"input"}%-22s ${"w"}%5s ${"C"}%8s ${"A"}%8s")
+    println(f"${"input"}%-22s ${"w"}%5s ${"C"}%8s ${"A"}%8s ${"Uni"}%8s")
     println(f"${row.head.input}%-22s ${row.head.w}%5.0f " + row.map(c => f"${c.median}%8.0f").mkString(" "))
   }
 

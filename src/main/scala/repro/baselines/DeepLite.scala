@@ -9,44 +9,48 @@ import repro.core.{Cleaner, TimePoint}
 // predicted/reconstructed values serve as repair candidates
 // (DESIGN.md §4 substitution 3).
 
-/** TranAD-lite [35] — prediction-based: an online per-dimension AR(p)
+/** TranAD-lite [35] — prediction-based: an online per-dimension AR(`P`)
   * linear predictor trained by SGD over the (normalised) dirty stream.
-  * A point whose prediction error exceeds `z` running standard
+  * A point whose prediction error exceeds `Z` running standard
   * deviations is replaced by the prediction.
   */
-final case class TranAdLite(p: Int = 3, lr: Double = 0.05, z: Double = 2.5) extends Cleaner {
+final case class TranAdLite() extends Cleaner {
   override def name: String = "TranAD"
 
   override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
-    PerDim(xs, out) { (_, vs, _) => TranAdLite.clean1(vs, p, lr, z) }
+    PerDim(xs, out) { (_, vs, _) => TranAdLite.clean1(vs) }
 }
 
 object TranAdLite {
-  def clean1(vs: Array[Double], p: Int, lr: Double, z: Double): Array[Double] = {
+  private final val P = 3 // the predictor's order
+  private final val Lr = 0.05 // the SGD learning rate
+  private final val Z = 2.5 // the anomaly threshold, in running standard deviations
+
+  def clean1(vs: Array[Double]): Array[Double] = {
     val n = vs.length
     val out = vs.clone()
-    if (n <= p + 1) return out
+    if (n <= P + 1) return out
     // Normalise to zero mean / unit variance so SGD is stable.
     val mean = vs.sum / n
     val sd = math.max(math.sqrt(vs.map(v => (v - mean) * (v - mean)).sum / n), 1e-9)
     val x = vs.map(v => (v - mean) / sd)
-    val wts = Array.fill(p)(1.0 / p)
+    val wts = Array.fill(P)(1.0 / P)
     var errMean = 0.0
     var errVar = 1.0
-    var k = p
+    var k = P
     while (k < n) {
       var pred = 0.0
       var j = 0
-      while (j < p) { pred += wts(j) * x(k - 1 - j); j += 1 }
+      while (j < P) { pred += wts(j) * x(k - 1 - j); j += 1 }
       val err = x(k) - pred
       // Running anomaly statistics (EW updates).
       val score = math.abs(err - errMean) / math.max(math.sqrt(errVar), 1e-6)
-      if (score > z) out(k) = pred * sd + mean
+      if (score > Z) out(k) = pred * sd + mean
       errMean = 0.98 * errMean + 0.02 * err
       errVar = 0.98 * errVar + 0.02 * (err - errMean) * (err - errMean)
       // SGD step on the (dirty) observation.
       j = 0
-      while (j < p) { wts(j) += lr * err * x(k - 1 - j); j += 1 }
+      while (j < P) { wts(j) += Lr * err * x(k - 1 - j); j += 1 }
       k += 1
     }
     out
@@ -56,20 +60,22 @@ object TranAdLite {
 /** CAE-M-lite [39] — reconstruction-based: a per-dimension ridge
   * regression reconstructing each value from its window context
   * (2 left + 2 right neighbours), fit by normal equations on the dirty
-  * series itself. Points with reconstruction residual above `z` residual
+  * series itself. Points with reconstruction residual above `Z` residual
   * standard deviations are replaced by the reconstruction.
   */
-final case class CaeMLite(ridge: Double = 1e-3, z: Double = 3.0) extends Cleaner {
+final case class CaeMLite() extends Cleaner {
   override def name: String = "CAE-M"
 
   override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
-    PerDim(xs, out) { (_, vs, _) => CaeMLite.clean1(vs, ridge, z) }
+    PerDim(xs, out) { (_, vs, _) => CaeMLite.clean1(vs) }
 }
 
 object CaeMLite {
   private val Offsets = Array(-2, -1, 1, 2)
+  private final val Ridge = 1e-3 // the ridge penalty per interior point
+  private final val Z = 3.0 // the anomaly threshold, in residual standard deviations
 
-  def clean1(vs: Array[Double], ridge: Double, z: Double): Array[Double] = {
+  def clean1(vs: Array[Double]): Array[Double] = {
     val n = vs.length
     val out = vs.clone()
     if (n < 8) return out
@@ -90,7 +96,7 @@ object CaeMLite {
       k += 1
     }
     var i = 0
-    while (i < p) { a(i)(i) += ridge * (n - 4); i += 1 }
+    while (i < p) { a(i)(i) += Ridge * (n - 4); i += 1 }
     val w = solve(a, b)
 
     def recon(k: Int): Double = {
@@ -104,7 +110,7 @@ object CaeMLite {
     val rsd = math.max(math.sqrt(resid.map(r => (r - rm) * (r - rm)).sum / resid.length), 1e-9)
     k = 2
     while (k < n - 2) {
-      if (math.abs(vs(k) - recon(k) - rm) > z * rsd) out(k) = recon(k)
+      if (math.abs(vs(k) - recon(k) - rm) > Z * rsd) out(k) = recon(k)
       k += 1
     }
     out

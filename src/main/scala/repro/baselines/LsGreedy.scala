@@ -16,16 +16,17 @@ import repro.core.{Cleaner, TimePoint}
   * rates inflate it and erode detection — the behaviour the paper reports
   * for LsGreedy at e >= 20%.
   */
-final case class LsGreedy(sigmaFactor: Double = 3.0) extends Cleaner {
+final case class LsGreedy() extends Cleaner {
   override def name: String = "LsGreedy"
 
   override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
-    PerDim(xs, out) { (ts, vs, _) => LsGreedy.clean1(ts, vs, sigmaFactor) }
+    PerDim(xs, out) { (ts, vs, _) => LsGreedy.clean1(ts, vs) }
 }
 
 object LsGreedy {
+  private final val SigmaFactor = 3.0 // the detection threshold, in standard deviations of the changes
 
-  def clean1(ts: Array[Double], vs: Array[Double], sigmaFactor: Double): Array[Double] = {
+  def clean1(ts: Array[Double], vs: Array[Double]): Array[Double] = {
     val n = ts.length
     val out = vs.clone()
     if (n < 3) return out
@@ -44,7 +45,7 @@ object LsGreedy {
     val m = (n - 2).toDouble
     val mean = cur.sum / m
     val sigma = math.sqrt(cur.iterator.slice(1, n - 1).map(c => (c - mean) * (c - mean)).sum / m)
-    val theta = math.max(sigmaFactor * sigma, 1e-12)
+    val theta = math.max(SigmaFactor * sigma, 1e-12)
 
     val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(_._1))
     k = 1

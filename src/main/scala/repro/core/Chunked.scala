@@ -17,8 +17,9 @@ import java.util.concurrent.{ForkJoinTask, RecursiveAction}
   * the speculative values bit for bit, from where on the two runs are one
   * run, or until the chunk ends.
   *
-  * How many chunks a series gets depends on its length alone: a series
-  * shorter than two [[MinChunk]]s never forks.
+  * How many chunks a series gets depends on the steps its method takes over
+  * it alone ([[Online.steps]]): a run of fewer than two [[MinChunk]]s of
+  * steps never forks.
   */
 object Chunked {
 
@@ -38,27 +39,30 @@ object Chunked {
       */
     private[core] def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit
 
+    /** The steps a batch run over `xs` takes, which set its chunk count. */
+    private[core] def steps(xs: Array[TimePoint]): Long = math.max(0, xs.length - 1)
+
     override protected final def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit =
-      repair(xs, out, bounds(1, xs.length))
+      repair(xs, out, bounds(1, xs.length, steps(xs)))
   }
 
-  /** The fewest points in a chunk. In chunks of this length and longer
+  /** The fewest steps in a chunk. In chunks of this length and longer
     * every method ran faster than in one chunk; in shorter ones MTCSC-A's
     * splices, which run until its next recapture, could cost more than
     * its speculation saved (DESIGN §4c).
     */
   private final val MinChunk = 16384
 
-  /** The number of chunks `n` points are split into. */
-  def count(n: Int): Int = math.max(1, math.min(Runtime.getRuntime.availableProcessors, n / MinChunk))
+  /** The number of chunks `work` steps (or points) are split into. */
+  def count(work: Long): Int = math.max(1, math.min(Runtime.getRuntime.availableProcessors, work / MinChunk).toInt)
 
-  /** Bounds that split [from, n) into [[count]]`(n - from)` near-equal
-    * chunks, or into none when it is empty.
+  /** Bounds that split [from, n) into [[count]]`(work)` near-equal chunks,
+    * at most one per index, or into none when it is empty.
     */
-  private[core] def bounds(from: Int, n: Int): Array[Int] =
+  private[core] def bounds(from: Int, n: Int, work: Long): Array[Int] =
     if (n <= from) Array(from)
     else {
-      val c = count(n - from)
+      val c = math.min(count(work), n - from)
       Array.tabulate(c + 1)(i => from + ((n - from).toLong * i / c).toInt)
     }
 
@@ -72,33 +76,18 @@ object Chunked {
       new RecursiveAction { def compute(): Unit = body(i) }): _*)
 
   /** Runs the method `start` makes (at a step index, from a bound `s`) over
-    * `xs` into `out` in the chunks between `bounds`, whole points at a time,
-    * from constraint `sc`.
+    * `xs` into `out` in the chunks between `bounds`, from constraint `sc`:
+    * speculates every chunk at once, then splices them in order.
     */
   private[core] def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int], sc: SpeedConstraint,
-                           start: (Int, Double) => Run): Unit =
-    run(Array(Array.tabulate(bounds.length - 1)(i => new Chunk(xs, out, -1, bounds(i), bounds(i + 1), sc, start))))
-
-  /** MTCSC-C under `scs(l)` over each dimension l of `xs` into `out`: one
-    * task per dimension and chunk, each on univariate slices.
-    */
-  private[core] def repairPerDimension(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int],
-                                       scs: Array[SpeedConstraint]): Unit =
-    run(Array.tabulate(scs.length, bounds.length - 1)((l, i) =>
-      new Chunk(xs, out, l, bounds(i), bounds(i + 1), scs(l), (_, _) => MtcscC.run(scs(l)))))
-
-  /** Speculates every chunk at once, then splices each row in order. */
-  private def run(rows: Array[Array[Chunk]]): Unit = if (rows.nonEmpty) {
-    val c = rows(0).length
-    if (c == 1) rows.foreach(_(0).speculate())
-    else forkJoin(rows.length * c)(j => rows(j / c)(j % c).speculate())
-    for (row <- rows; i <- 1 until c) row(i).splice(row(i - 1))
+                           start: (Int, Double) => Run): Unit = {
+    val chunks = Array.tabulate(bounds.length - 1)(i => new Chunk(xs, out, bounds(i), bounds(i + 1), sc, start))
+    forkJoin(chunks.length)(chunks(_).speculate())
+    for (i <- 1 until chunks.length) chunks(i).splice(chunks(i - 1))
   }
 
-  /** The steps [lo, hi) of one run over `all` that writes `target`: whole
-    * points, or only dimension `dim` of them when `dim` >= 0.
-    */
-  private final class Chunk(all: Array[TimePoint], target: Array[TimePoint], dim: Int, lo: Int, hi: Int,
+  /** The steps [lo, hi) of one run over `all` that writes `target`. */
+  private final class Chunk(all: Array[TimePoint], target: Array[TimePoint], lo: Int, hi: Int,
                             sc: SpeedConstraint, start: (Int, Double) => Run) {
     private val s0 = sc.s
     /** The raw points [lo-1, end), where `end` is the first point after
@@ -116,25 +105,16 @@ object Chunked {
     private var movedTo = new Array[Double](4)
     private var moves = 0
 
-    /** Dimension `dim` of the raw point i, as a univariate point. */
-    private def uni(i: Int): TimePoint = TimePoint.uni(all(i).t, all(i).v(dim))
-
     /** Runs the steps from the guessed state. */
     def speculate(): Unit = {
       val last = all(hi - 1).t + sc.w
       var end = hi
       while (end < all.length && all(end).t <= last) end += 1
-      if (dim >= 0) {
-        xs = Array.tabulate(end - lo + 1)(j => uni(lo - 1 + j))
-        out = Array.tabulate(hi - lo + 1)(j => uni(lo - 1 + j))
-      } else if (lo == 1 && end == all.length && hi == target.length) {
-        xs = all
-        out = target
-      } else {
-        xs = java.util.Arrays.copyOfRange(all, lo - 1, end)
-        out = java.util.Arrays.copyOfRange(target, lo - 1, hi)
-        out(0) = xs(0)
-      }
+      // A chunk that spans the whole run needs no slices.
+      val whole = lo == 1 && end == all.length && hi == target.length
+      xs = if (whole) all else java.util.Arrays.copyOfRange(all, lo - 1, end)
+      out = if (whole) target else java.util.Arrays.copyOfRange(target, lo - 1, hi)
+      if (!whole) out(0) = xs(0)
       val run = start(lo, s0)
       var k = 1
       while (k < out.length) {
@@ -151,7 +131,6 @@ object Chunked {
         }
         k += 1
       }
-      writeBack(out.length)
     }
 
     /** Makes the chunk exact, once `prev`, the chunk before it, is. */
@@ -175,14 +154,7 @@ object Chunked {
           k += 1
         }
         if (!met) s = run.s
-        writeBack(k)
       }
-    }
-
-    /** Copies a per-dimension chunk's output points [1, until) into `target`. */
-    private def writeBack(until: Int): Unit = if (dim >= 0) {
-      var j = 1
-      while (j < until) { target(lo - 1 + j).v(dim) = out(j).v(0); j += 1 }
     }
   }
 }

@@ -66,12 +66,12 @@ object TimePoint {
     */
   def checkedCopyOf(xs: Array[TimePoint]): Array[TimePoint] = {
     val out = new Array[TimePoint](xs.length)
-    check(xs, out, Chunked.bounds(0, xs.length))
+    check(xs, out, Chunked.bounds(0, xs.length, xs.length))
     out
   }
 
   /** Checks the input contract as [[checkedCopyOf]] does, copying nothing. */
-  def check(xs: Array[TimePoint]): Unit = check(xs, null, Chunked.bounds(0, xs.length))
+  def check(xs: Array[TimePoint]): Unit = check(xs, null, Chunked.bounds(0, xs.length, xs.length))
 
   /** Checks `xs` in the chunks between consecutive `bounds`, copying each
     * point into `out` unless it is null, and rejects the first bad point:
@@ -153,7 +153,4 @@ final case class SeriesRow(seriesId: Long, t: Double, dims: Seq[Double])
 object SeriesRow {
   def toPoints(rows: Seq[SeriesRow]): Array[TimePoint] =
     rows.sortBy(_.t).map(r => TimePoint(r.t, r.dims.toArray)).toArray
-
-  def fromPoints(seriesId: Long, pts: Array[TimePoint]): Seq[SeriesRow] =
-    pts.toSeq.map(p => SeriesRow(seriesId, p.t, p.v.toSeq))
 }

@@ -63,12 +63,12 @@ object StreamingCleaner {
         (id: Long, rows: Iterator[SeriesRow], state: GroupState[(Long, Block)]) => {
           val decided = state.getOption.fold(0L)(_._1)
           val held = Block.merge(state.getOption.map(_._2))
-          val arrived = SeriesRow.toPoints(rows.toSeq)
+          val arrived = Block.merge(Block.pack(rows))
           // The held block's row 0, when there is one, is the last decided point.
           val (emitted, prev, pending) = InputContractException.inSeries(id)(advance(
             sc, held.headOption, held.drop(1).toVector ++ arrived, endOfStream = false, first = math.max(0, decided - 1)))
           state.update((decided + emitted.length, Block.of(id, (prev ++: pending).toArray)))
-          SeriesRow.fromPoints(id, emitted.toArray).iterator
+          Block.of(id, emitted.toArray).rows
         }
       )(stateEncoder, rowEncoder)
 }

@@ -58,7 +58,7 @@ class BaselinePropertiesSpec extends AnyFunSuite {
 
   test("LsGreedy terminates and leaves values finite") {
     forAllSampled(uniGen) { case (ts, vs) =>
-      val out = LsGreedy.clean1(ts, vs, 3.0)
+      val out = LsGreedy.clean1(ts, vs)
       assert(out.forall(v => !v.isNaN && !v.isInfinite))
     }
   }

@@ -75,6 +75,18 @@ class ChunkedSpec extends AnyFunSuite {
     }
   }
 
+  test("Uni chunks by its steps, D·(n − 1), and its default run equals the reference on ECG 2k × 32") {
+    val truth = TimeSeriesGen.ecg(2000, dims = 32, seed = 8)
+    val cfg = Harness.configFrom(truth, w = 10)
+    val dirty = ErrorInjector.inject(truth, 0.10, ErrorInjector.Together, seed = 9)
+    val uni = MtcscUni(cfg.uniScs)
+    // 32 · 1,999 steps make three chunks of them on as many cores; C's 1,999 make one.
+    assert(Chunked.bounds(1, dirty.length, uni.steps(dirty)).length - 1 ==
+      math.min(3, Runtime.getRuntime.availableProcessors))
+    assert(Chunked.bounds(1, dirty.length, MtcscC(cfg.sc).steps(dirty)).length == 2)
+    assertSame(uni.clean(dirty), Reference.cleanUni(dirty, cfg.uniScs), "Uni ECG 2k x 32")
+  }
+
   test("a run that never meets its guess is re-run whole, chunk after chunk") {
     // A ramp at speed 2 under s = 1: MTCSC-L finds no compatible successor
     // and copies the previous repair at every step, so the output stays at

@@ -58,16 +58,23 @@ object OutputFingerprintSpec {
     "MTCSC-A m=20 tau=0.1 beta=0.75" -> MtcscA(sc, m = 20, tau = 0.1, beta = 0.75),
     "MTCSC-A m=20 tau=0.1 beta=1.0" -> MtcscA(sc, m = 20, tau = 0.1, beta = 1.0))
 
+  /** The short inputs, each named `tao20k-<seed>` or `gpsWalk11k-<seed>`,
+    * with its truth, its dirty series and its window.
+    */
+  def shortInputs: Seq[(String, Array[TimePoint], Array[TimePoint], Double)] = for {
+    seed <- 1L to 3L
+    input <- {
+      val tao = TimeSeriesGen.tao(20000, seed)
+      val gps = TimeSeriesGen.gpsWalk(11000, seed)
+      Seq((s"tao20k-$seed", tao, ErrorInjector.inject(tao, 0.10, ErrorInjector.Together, seed + 1), 10.0),
+        (s"gpsWalk11k-$seed", gps.truth, gps.dirty, 30.0))
+    }
+  } yield input
+
   /** The hash of every run, keyed `input/method`. */
   def fingerprints(): Map[String, String] = {
     val short = for {
-      seed <- 1L to 3L
-      (input, truth, dirty, w) <- {
-        val tao = TimeSeriesGen.tao(20000, seed)
-        val gps = TimeSeriesGen.gpsWalk(11000, seed)
-        Seq((s"tao20k-$seed", tao, ErrorInjector.inject(tao, 0.10, ErrorInjector.Together, seed + 1), 10.0),
-          (s"gpsWalk11k-$seed", gps.truth, gps.dirty, 30.0))
-      }
+      (input, truth, dirty, w) <- shortInputs
       cfg = Harness.configFrom(truth, w)
       (name, cleaner) <- Harness.methods(cfg, truth).map(c => c.name -> c) ++ adaptive(cfg.sc)
     } yield s"$input/$name" -> hash(cleaner.clean(dirty))

@@ -224,14 +224,17 @@ object Reference {
     out
   }
 
+  /** One row per point of series `id`. */
+  def rows(id: Long, pts: Array[TimePoint]): Seq[SeriesRow] = pts.toSeq.map(p => SeriesRow(id, p.t, p.v.toSeq))
+
   /** Every row through the shuffle, grouped by key, each key's rows stably
     * sorted by `t` and cleaned.
     */
   def cleanRows(ds: Dataset[SeriesRow], cleaner: Cleaner): Dataset[SeriesRow] = {
     import ds.sparkSession.implicits._
-    ds.groupByKey(_.seriesId).flatMapGroups { (id, rows) =>
-      val pts = SeriesRow.toPoints(rows.toSeq)
-      SeriesRow.fromPoints(id, cleaner.clean(pts)).iterator
+    ds.groupByKey(_.seriesId).flatMapGroups { (id, group) =>
+      val pts = SeriesRow.toPoints(group.toSeq)
+      rows(id, cleaner.clean(pts)).iterator
     }
   }
 

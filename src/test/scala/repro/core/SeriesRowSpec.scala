@@ -12,19 +12,14 @@ class SeriesRowSpec extends AnyFunSuite {
     assert(pts.map(_.v(0)).toSeq == Seq(1.0, 2.0, 3.0))
   }
 
-  test("fromPoints/toPoints roundtrip preserves values and timestamps") {
+  test("toPoints keeps every row's timestamp and values") {
     val pts = Array.tabulate(10)(i => TimePoint(i.toDouble, Array(i * 1.5, -i * 0.5)))
-    val back = SeriesRow.toPoints(SeriesRow.fromPoints(42L, pts))
+    val back = SeriesRow.toPoints(Reference.rows(42L, pts))
     assert(back.length == 10)
     back.indices.foreach { i =>
       assert(back(i).t == pts(i).t)
       assert(back(i).sameValues(pts(i), 0.0))
     }
-  }
-
-  test("fromPoints stamps the series id on every row") {
-    val pts = Array.tabulate(5)(i => TimePoint.uni(i.toDouble, 0.0))
-    assert(SeriesRow.fromPoints(7L, pts).forall(_.seriesId == 7L))
   }
 
   test("TimePoint.copyOf produces independent value arrays") {

@@ -4,7 +4,7 @@ import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuilder
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.SeriesRow
+import repro.core.{Reference, SeriesRow, TimePoint}
 import repro.spark.SparkCleaner.Block
 
 /** [[SparkCleaner.Block]] on its own: its Java form, its row views and
@@ -128,6 +128,24 @@ class BlockSpec extends AnyFunSuite {
         assert(view.dims.toList == copied.dims.toList)
         assert(view.dims.iterator.toList == copied.dims.toList)
       }
+    }
+  }
+
+  test("the rows of Block.of stamp the id and equal one row per point") {
+    val pts = Array.tabulate(12)(i => TimePoint(i * 0.5, Array(i * 1.5, -i * 0.25, -0.0)))
+    val rows = Block.of(7L, pts).rows.toList
+    assert(rows.forall(_.seriesId == 7L))
+    assert(rows == Reference.rows(7L, pts))
+  }
+
+  test("merge of pack reads rows as toPoints does, ties and mixed D included") {
+    val r = new java.util.Random(16)
+    for (_ <- 1 to 50) {
+      val rows = Seq.fill(1 + r.nextInt(40))(SeriesRow(3L, r.nextInt(10).toDouble, Seq.fill(1 + r.nextInt(2))(r.nextGaussian())))
+      val got = Block.merge(Block.pack(rows.iterator))
+      val want = SeriesRow.toPoints(rows)
+      assert(got.length == want.length)
+      got.zip(want).foreach { case (g, w) => assert(bits(g.t +: g.v) == bits(w.t +: w.v)) }
     }
   }
 }

@@ -129,7 +129,7 @@ class StreamingCleanerSpec extends SparkSpec {
     val query = StreamingCleaner.clean(input.toDS(), sc)
       .writeStream.format("memory").queryName("mtcsc_stream").outputMode("append").start()
     try {
-      val rows = SeriesRow.fromPoints(0L, series)
+      val rows = Reference.rows(0L, series)
       rows.grouped(37).foreach { batch => input.addData(batch); query.processAllAvailable() }
       // close the stream with a far-future sentinel so every point is decided
       val sentinel = SeriesRow(0L, series.last.t + 1000, series.last.v.toSeq)
@@ -154,7 +154,7 @@ class StreamingCleanerSpec extends SparkSpec {
     val query = StreamingCleaner.clean(input.toDS(), sc)
       .writeStream.format("memory").queryName("mtcsc_multi").outputMode("append").start()
     try {
-      val rows = SeriesRow.fromPoints(0L, a) ++ SeriesRow.fromPoints(1L, b)
+      val rows = Reference.rows(0L, a) ++ Reference.rows(1L, b)
       input.addData(rows)
       input.addData(Seq(SeriesRow(0L, 1e9, a.last.v.toSeq), SeriesRow(1L, 1e9, b.last.v.toSeq)))
       query.processAllAvailable()
