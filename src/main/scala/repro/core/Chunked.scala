@@ -110,11 +110,14 @@ object Chunked {
       val last = all(hi - 1).t + sc.w
       var end = hi
       while (end < all.length && all(end).t <= last) end += 1
-      // A chunk that spans the whole run needs no slices.
-      val whole = lo == 1 && end == all.length && hi == target.length
-      xs = if (whole) all else java.util.Arrays.copyOfRange(all, lo - 1, end)
-      out = if (whole) target else java.util.Arrays.copyOfRange(target, lo - 1, hi)
-      if (!whole) out(0) = xs(0)
+      if (lo == 1 && end == all.length && hi == target.length) {
+        xs = all
+        out = target
+      } else {
+        xs = java.util.Arrays.copyOfRange(all, lo - 1, end)
+        out = java.util.Arrays.copyOfRange(target, lo - 1, hi)
+        out(0) = xs(0)
+      }
       val run = start(lo, s0)
       var k = 1
       while (k < out.length) {

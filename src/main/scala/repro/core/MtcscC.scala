@@ -30,8 +30,7 @@ object MtcscC {
     *
     * BuildCluster's arrays, indexed relative to the window start: the
     * cluster flags, and for each head the size of its cluster. They grow
-    * to the longest window seen; one instance serves a whole series (and,
-    * in MTCSC-Uni, every dimension).
+    * to the longest window seen; one instance serves a whole run.
     *
     * The sliding window: `end`, one past the last raw point of the
     * previous step's window, and `broken`, the last index i < `end` whose

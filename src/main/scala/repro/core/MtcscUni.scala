@@ -12,9 +12,9 @@ final case class MtcscUni(scs: Array[SpeedConstraint]) extends Chunked.Online {
 
   private[core] override def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit = {
     Cleaner.requirePerDimension(xs, scs.length, "constraint")
-    val (n, d) = (xs.length, scs.length)
-    if (n < 2 || d == 0) return
-    val (raw, rep) = (new Array[TimePoint](n), new Array[TimePoint](n))
+    val d = scs.length
+    val raw = new Array[TimePoint](xs.length)
+    val rep = new Array[TimePoint](xs.length)
     // Pass l writes dimension l - 1's repair back and fills both series with dimension l.
     for (l <- 0 to d) {
       Chunked.forkJoin(bounds.length - 1) { c =>
