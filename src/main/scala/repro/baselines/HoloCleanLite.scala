@@ -8,36 +8,38 @@ import repro.core.{Cleaner, SpeedConstraint, TimePoint}
   * dimension) value as a cell, quantising the value domain, and encoding
   * the per-dimension speed constraint as a denial constraint. We rebuild
   * exactly those ingredients: each dimension's domain is split into
-  * `buckets` candidate values (bucket centres weighted by their empirical
+  * 50 candidate values (bucket centres weighted by their empirical
   * frequency = the prior); a cell flagged by the denial constraint is
   * reassigned the candidate maximising log-prior plus compatibility with
   * its temporal neighbours under the constraint. Repairs land on bucket
   * centres, so a quantisation floor on accuracy remains — consistent with
   * the mediocre accuracy HoloClean shows in the paper.
   */
-final case class HoloCleanLite(scs: Array[SpeedConstraint], buckets: Int = 50) extends Cleaner {
+final case class HoloCleanLite(scs: Array[SpeedConstraint]) extends Cleaner {
   override def name: String = "HoloClean"
 
   override protected def repair(xs: Array[TimePoint], out: Array[TimePoint]): Unit = {
     Cleaner.requirePerDimension(xs, scs.length, "constraint")
-    PerDim(xs, out) { (ts, vs, l) => HoloCleanLite.clean1(ts, vs, scs(l).s, buckets) }
+    PerDim(xs, out) { (ts, vs, l) => HoloCleanLite.clean1(ts, vs, scs(l).s) }
   }
 }
 
 object HoloCleanLite {
-  def clean1(ts: Array[Double], vs: Array[Double], s: Double, buckets: Int): Array[Double] = {
+  private final val Buckets = 50 // candidate values per dimension
+
+  def clean1(ts: Array[Double], vs: Array[Double], s: Double): Array[Double] = {
     val n = ts.length
     val out = vs.clone()
     if (n < 3) return out
     val lo = vs.min
     val hi = vs.max
     if (hi <= lo) return out
-    val width = (hi - lo) / buckets
-    val counts = Array.fill(buckets)(0)
-    def bucketOf(v: Double): Int = math.min(buckets - 1, math.max(0, ((v - lo) / width).toInt))
+    val width = (hi - lo) / Buckets
+    val counts = Array.fill(Buckets)(0)
+    def bucketOf(v: Double): Int = math.min(Buckets - 1, math.max(0, ((v - lo) / width).toInt))
     vs.foreach(v => counts(bucketOf(v)) += 1)
-    val centers = Array.tabulate(buckets)(b => lo + (b + 0.5) * width)
-    val logPrior = counts.map(c => math.log((c + 1.0) / (n + buckets)))
+    val centers = Array.tabulate(Buckets)(b => lo + (b + 0.5) * width)
+    val logPrior = counts.map(c => math.log((c + 1.0) / (n + Buckets)))
 
     // Detection and candidate scoring work on the observed neighbours —
     // conditioning on already-repaired (quantised) values cascades one
@@ -58,7 +60,7 @@ object HoloCleanLite {
         var bestVal = out(k)
         var bestViol = 2
         var b = 0
-        while (b < buckets) {
+        while (b < Buckets) {
           val c = centers(b)
           var score = logPrior(b)
           var viol = 0

@@ -23,13 +23,14 @@ import java.util.concurrent.{ForkJoinTask, RecursiveAction}
   */
 object Chunked {
 
-  /** One sequential run of an online method's step, with `closed` = true.
+  /** One sequential run of an online method: its state and its one step.
     * `step` repairs out(k), a copy of xs(k), in place from out(k-1) and the
-    * raw points `xs[k+1, n)`; `s` is the speed bound the run's next step
-    * starts from, which only MTCSC-A's recaptures move.
+    * raw points `xs[k+1, n)`; unless `closed`, one that needs a point after
+    * `n` leaves out(k) as is and returns false. `s` is the speed bound the
+    * run's next step starts from, which only MTCSC-A's recaptures move.
     */
-  private[core] abstract class Run(var s: Double) {
-    def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int): Unit
+  private[repro] abstract class Run(var s: Double) {
+    def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int, closed: Boolean): Boolean
   }
 
   /** A method whose batch `repair` is this driver. */
@@ -121,7 +122,7 @@ object Chunked {
       val run = start(lo, s0)
       var k = 1
       while (k < out.length) {
-        run.step(out, xs, k, xs.length)
+        run.step(out, xs, k, xs.length, closed = true)
         if (run.s != s) {
           if (moves == movedAt.length) {
             movedAt = java.util.Arrays.copyOf(movedAt, 2 * moves)
@@ -151,7 +152,7 @@ object Chunked {
           val o = out(k).v
           System.arraycopy(o, 0, guessed, 0, o.length)
           System.arraycopy(xs(k).v, 0, o, 0, o.length)
-          run.step(out, xs, k, xs.length)
+          run.step(out, xs, k, xs.length, closed = true)
           if (move < moves && movedAt(move) == k) { guessedS = movedTo(move); move += 1 }
           met = run.s == guessedS && java.util.Arrays.equals(o, guessed)
           k += 1

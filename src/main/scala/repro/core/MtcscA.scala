@@ -29,14 +29,14 @@ final case class MtcscA(
   private[core] override def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit =
     Chunked.repair(xs, out, bounds, initial, new Run(xs, _, _))
 
-  /** A run of Algorithm 5 whose first step is at `lo`, from bound `s0`.
-    * Its speed windows hold raw speeds only, so they start as any run's
-    * that reached lo: the last 2m positive-dt raw speeds before lo.
+  /** A run of Algorithm 5 whose first step is at `lo`, from bound `s0`: C's
+    * run, whose step first feeds xs(k)'s speed into the speed windows. It is
+    * batch-only, with `closed` = true: a second call at the same k would feed
+    * that speed twice. The windows hold raw speeds only, so they start as
+    * any run's that reached lo: the last 2m positive-dt raw speeds before lo.
     */
-  private final class Run(all: Array[TimePoint], lo: Int, s0: Double) extends Chunked.Run(s0) {
+  private final class Run(all: Array[TimePoint], lo: Int, s0: Double) extends MtcscC.Run(SpeedConstraint(s0, initial.w)) {
     private val state = new MtcscA.AdaptiveState(b, tau, m, beta)
-    private var sc = SpeedConstraint(s0, initial.w)
-    private val scratch = new MtcscC.Scratch
     locally {
       var from = lo
       var speeds = 0
@@ -44,10 +44,10 @@ final case class MtcscA(
       while (from < lo) { state.update(all(from - 1), all(from), s0); from += 1 }
     }
 
-    def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int): Unit = {
-      s = state.update(xs(k - 1), xs(k), s)
-      if (s != sc.s) { sc = SpeedConstraint(s, initial.w); scratch.reset() }
-      MtcscC.step(out, xs, k, n, sc, scratch, closed = true)
+    override def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int, closed: Boolean): Boolean = {
+      val next = state.update(xs(k - 1), xs(k), s)
+      if (next != s) recapture(next)
+      super.step(out, xs, k, n, closed)
     }
   }
 }
@@ -68,9 +68,8 @@ object MtcscA {
     *    under.
     *  - The KL verdict is recomputed only when a count changed, as the sum
     *    in bucket order of one term per count pair ([[klTerm]] over counts
-    *    divided by m, the terms of [[kl]]). Each pair's term is computed
-    *    once and then looked up, so the sum is the same doubles added in
-    *    the same order.
+    *    divided by m). Each pair's term is computed once and then looked
+    *    up, so the sum is the same doubles added in the same order.
     *  - A recapture keeps the percentile q it selected, with how many of
     *    W2's speeds compare below and equal to q (`java.lang.Double.compare`,
     *    the order of [[SpeedConstraint.quantile]]); each slide updates both
@@ -228,20 +227,6 @@ object MtcscA {
   def bucket(v: Double, b: Int, s: Double, width: Double): Int =
     if (v > s) b - 1 else math.min(b - 2, math.max(0, math.ceil(v / width).toInt - 1))
 
-  /** KL divergence with natural log; 0-probability p terms contribute 0,
-    * 0-probability q terms are clamped to avoid infinities.
-    */
-  def kl(p: Array[Double], q: Array[Double]): Double = {
-    require(p.length == q.length)
-    var acc = 0.0
-    var i = 0
-    while (i < p.length) {
-      if (p(i) > 0) acc += klTerm(p(i), q(i))
-      i += 1
-    }
-    acc
-  }
-
-  /** The term of [[kl]] for probabilities p > 0 and q. */
+  /** The KL term of probabilities p > 0 and q, with q clamped above 0. */
   private[core] def klTerm(p: Double, q: Double): Double = p * math.log(p / math.max(q, 1e-10))
 }

@@ -13,35 +13,30 @@ final case class MtcscL(sc: SpeedConstraint) extends Chunked.Online {
   override def name: String = "MTCSC-L"
 
   private[core] override def repair(xs: Array[TimePoint], out: Array[TimePoint], bounds: Array[Int]): Unit =
-    Chunked.repair(xs, out, bounds, sc, (_, _) => MtcscL.run(sc))
+    Chunked.repair(xs, out, bounds, sc, (_, _) => new MtcscL.Run(sc))
 }
 
 object MtcscL {
 
-  /** A run of Algorithm 2 under `sc`: it has no state beyond out(k-1). */
-  private[core] def run(sc: SpeedConstraint): Chunked.Run = new Chunked.Run(sc.s) {
-    def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int): Unit =
-      MtcscL.step(out, xs, k, n, sc, closed = true)
-  }
-
-  /** The per-point decision, shared by the batch kernel and the streaming
-    * operator: repairs `out(k)` (a copy of `xs(k)`) from the previous
-    * repair `out(k-1)` and the raw successors `xs[k+1, n)`. A scan that
-    * runs off `n` falls back to the previous repair when `closed`;
-    * otherwise a compatible successor may still arrive inside the window,
-    * so `out(k)` is left as is and the result is false.
+  /** A run of Algorithm 2 under `sc`, shared by the batch kernel and the
+    * streaming operator: it has no state beyond out(k-1).
     */
-  def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int,
-           sc: SpeedConstraint, closed: Boolean): Boolean = {
-    val p = out(k - 1)
-    if (sc.speedOk(xs(k), p)) true
-    else {
-      val last = xs(k).t + sc.w
-      var i = k + 1
-      while (i < n && xs(i).t <= last && !sc.speedOk(xs(i), p)) i += 1
-      if (i < n && xs(i).t <= last) { TimePoint.interpolate(out(k), p, xs(i)); true }
-      else if (i < n || closed) { Array.copy(p.v, 0, out(k).v, 0, p.v.length); true }
-      else false
+  private[repro] final class Run(sc: SpeedConstraint) extends Chunked.Run(sc.s) {
+    /** A scan that runs off `n` falls back to the previous repair when
+      * `closed`; otherwise a compatible successor may still arrive inside
+      * the window, so `out(k)` is left as is and the result is false.
+      */
+    def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, n: Int, closed: Boolean): Boolean = {
+      val p = out(k - 1)
+      if (sc.speedOk(xs(k), p)) true
+      else {
+        val last = xs(k).t + sc.w
+        var i = k + 1
+        while (i < n && xs(i).t <= last && !sc.speedOk(xs(i), p)) i += 1
+        if (i < n && xs(i).t <= last) { TimePoint.interpolate(out(k), p, xs(i)); true }
+        else if (i < n || closed) { Array.copy(p.v, 0, out(k).v, 0, p.v.length); true }
+        else false
+      }
     }
   }
 }

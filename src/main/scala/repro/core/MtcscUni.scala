@@ -26,7 +26,7 @@ final case class MtcscUni(scs: Array[SpeedConstraint]) extends Chunked.Online {
           i += 1
         }
       }
-      if (l < d) Chunked.repair(raw, rep, bounds, scs(l), (_, _) => MtcscC.run(scs(l)))
+      if (l < d) Chunked.repair(raw, rep, bounds, scs(l), (_, _) => new MtcscC.Run(scs(l)))
     }
   }
 }

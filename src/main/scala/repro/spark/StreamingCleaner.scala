@@ -9,8 +9,8 @@ import repro.spark.SparkCleaner.{Block, rowEncoder}
   * per-series operator that emits each point's repair as soon as it is
   * decidable — when a compatible successor arrives, or a successor
   * falls beyond the window (then the previous repair is reused). Every
-  * decision is [[repro.core.MtcscL.step]], so the emitted repairs are the
-  * batch MTCSC-L output bit for bit, under any chunking.
+  * decision is a step of MTCSC-L's run, the batch kernel's, so the emitted
+  * repairs are the batch MTCSC-L output bit for bit, under any chunking.
   *
   * State per series: the count of its decided points and one
   * [[SparkCleaner.Block]] whose row 0 is the last repaired point and
@@ -43,8 +43,9 @@ object StreamingCleaner {
       case e: InputContractException if first != 0 =>
         throw new InputContractException(first + e.index, e.t, e.reason, e.series)
     }
+    val run = new MtcscL.Run(sc)
     var k = 1
-    while (k < xs.length && MtcscL.step(out, xs, k, xs.length, sc, closed = endOfStream)) k += 1
+    while (k < xs.length && run.step(out, xs, k, xs.length, closed = endOfStream)) k += 1
     val held = if (prev0.isDefined) 1 else 0
     (out.slice(held, k).toVector, out.lift(k - 1), pending0.drop(k - held))
   }

@@ -49,7 +49,7 @@ class BaselinePropertiesSpec extends AnyFunSuite {
   test("EWMA output is a convex combination of past observations (stays in range)") {
     forAllSampled(uniGen) { case (ts, vs) =>
       val pts = ts.zip(vs).map { case (t, v) => TimePoint.uni(t, v) }
-      val out = Ewma(0.3).clean(pts)
+      val out = Ewma().clean(pts)
       val lo = vs.min
       val hi = vs.max
       assert(out.forall(p => p.v(0) >= lo - 1e-9 && p.v(0) <= hi + 1e-9))
@@ -65,7 +65,7 @@ class BaselinePropertiesSpec extends AnyFunSuite {
 
   test("HoloClean-lite never invents values outside the observed range") {
     forAllSampled(uniGen) { case (ts, vs) =>
-      val out = HoloCleanLite.clean1(ts, vs, 1.0, 20)
+      val out = HoloCleanLite.clean1(ts, vs, 1.0)
       val lo = vs.min
       val hi = vs.max
       assert(out.forall(v => v >= lo - 1e-9 && v <= hi + 1e-9))

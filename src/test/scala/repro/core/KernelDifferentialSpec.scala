@@ -29,13 +29,13 @@ class KernelDifferentialSpec extends AnyFunSuite {
   }
 
   test("array-backed BuildCluster picks the reference's largest-cluster head") {
-    val scratch = new MtcscC.Scratch // shared across windows of every length
     forAllSampled(caseGen, 300) { c =>
+      val run = new MtcscC.Run(c.sc) // shared across windows of every length
       for (k <- 0 until c.xs.length - 1) {
         val end = math.min(c.xs.length, k + 1 + ((c.seed % 40 + k * 13) % 40).toInt)
         val clusters = Reference.buildClusters(c.xs(k), c.xs.slice(k + 1, end), c.sc)
         val want = if (clusters.isEmpty) -1 else k + 1 + clusters.maxBy(_.size).head
-        assert(MtcscC.largestClusterHead(c.xs(k), c.xs, k + 1, end, c.sc, scratch) == want, s"$c k=$k")
+        assert(run.largestClusterHead(c.xs(k), c.xs, k + 1, end) == want, s"$c k=$k")
       }
     }
   }
@@ -54,29 +54,29 @@ class KernelDifferentialSpec extends AnyFunSuite {
       def closedAt(k: Int, n: Int) = (k + 1 until n).exists(i => xs(i).t > xs(k).t + sc.w)
       val batch = MtcscC(sc).clean(xs)
       // Only xs[0, cut) has arrived: step until the first open window.
-      def open(): (Array[TimePoint], MtcscC.Scratch, Int) = {
+      def open(): (Array[TimePoint], MtcscC.Run, Int) = {
         val out = TimePoint.copyOf(xs)
-        val scratch = new MtcscC.Scratch
+        val run = new MtcscC.Run(sc)
         var k = 1
-        while (k < cut && MtcscC.step(out, xs, k, cut, sc, scratch, closed = false)) {
+        while (k < cut && run.step(out, xs, k, cut, closed = false)) {
           assert(closedAt(k, cut), s"$clue: point $k decided with its window open")
           assertSame(Array(out(k)), Array(batch(k)), s"$clue: decided point $k")
           k += 1
         }
         if (k < cut) assert(!closedAt(k, cut), s"$clue: point $k held with its window closed")
         for (i <- k until xs.length) assertSame(Array(out(i)), Array(xs(i)), s"$clue: held point $i")
-        (out, scratch, k)
+        (out, run, k)
       }
       // The stream ends at the cut: closing it equals batch C on the prefix.
-      val (atCut, s1, k1) = open()
-      for (k <- k1 until cut) assert(MtcscC.step(atCut, xs, k, cut, sc, s1, closed = true))
+      val (atCut, r1, k1) = open()
+      for (k <- k1 until cut) assert(r1.step(atCut, xs, k, cut, closed = true))
       assertSame(atCut.take(cut), MtcscC(sc).clean(xs.take(cut)), s"$clue: closed at the cut")
       // More points arrive, up to `mid` and then the rest, and the stream
       // closes: the same state carries on to batch C on the whole series.
-      val (grown, s2, k2) = open()
+      val (grown, r2, k2) = open()
       var k = k2
-      while (k < mid && MtcscC.step(grown, xs, k, mid, sc, s2, closed = false)) k += 1
-      while (k < xs.length) { assert(MtcscC.step(grown, xs, k, xs.length, sc, s2, closed = true)); k += 1 }
+      while (k < mid && r2.step(grown, xs, k, mid, closed = false)) k += 1
+      while (k < xs.length) { assert(r2.step(grown, xs, k, xs.length, closed = true)); k += 1 }
       assertSame(grown, batch, s"$clue: grown to the whole series")
     }
   }
@@ -127,8 +127,8 @@ class KernelDifferentialSpec extends AnyFunSuite {
 
   test("MTCSC-Uni with one constraint object for every dimension equals MTCSC-C per dimension") {
     // Uni refills one buffer and hands each dimension the same object
-    // here, so C's window state must be reset by the run, not keyed on
-    // the identity of the series or the constraint.
+    // here, so C's window state must belong to each dimension's fresh run,
+    // not be keyed on the identity of the series or the constraint.
     forAllSampled(caseGen, 300) { c =>
       val d = c.xs(0).dim
       val got = MtcscUni(Array.fill(d)(c.sc)).clean(c.xs)
@@ -142,7 +142,8 @@ class KernelDifferentialSpec extends AnyFunSuite {
   test("MTCSC-A equals the reference when KL fires often (m = 20, tau = 0.1, gpsWalk)") {
     // Every recapture swaps the constraint under C's window state. At
     // beta = 1 a recaptured s sits inside the walking speeds, so pairs
-    // tested under the old s would mislead the new one without a reset.
+    // tested under the old s would mislead the new one unless the
+    // recapture forgets the window.
     val gps = TimeSeriesGen.gpsWalk(11000, seed = 29)
     for (beta <- Seq(0.75, 1.0)) {
       val a = MtcscA(SpeedConstraint(1.6, 30.0), m = 20, tau = 0.1, beta = beta)

@@ -27,7 +27,7 @@ class MtcscCSpec extends AnyFunSuite {
     val clusters = Reference.buildClusters(p, window, sc)
     assert(clusters.maxBy(_.size).head == 1) // x3
     // the array-backed kernel returns the same head as an index into the series
-    assert(MtcscC.largestClusterHead(p, example35, 2, 8, sc, new MtcscC.Scratch) == 3)
+    assert(new MtcscC.Run(sc).largestClusterHead(p, example35, 2, 8) == 3)
   }
 
   test("Example 3.5: final repair is x1'=(1.83,1), x2'=(2.66,1), x5'=(5.5,1)") {

@@ -173,6 +173,20 @@ object Reference {
     if (total == 0) Array.fill(b)(0.0) else counts.map(_ / total)
   }
 
+  /** KL divergence with natural log; 0-probability p terms contribute 0,
+    * 0-probability q terms are clamped to avoid infinities.
+    */
+  def kl(p: Array[Double], q: Array[Double]): Double = {
+    require(p.length == q.length)
+    var acc = 0.0
+    var i = 0
+    while (i < p.length) {
+      if (p(i) > 0) acc += MtcscA.klTerm(p(i), q(i))
+      i += 1
+    }
+    acc
+  }
+
   /** Algorithm 5's state kept as two speed deques, rebucketed and
     * compared on every point.
     */
@@ -188,7 +202,7 @@ object Reference {
       if (w1.size < m) w1.append(s1)
       else if (w2.size < m) w2.append(s1)
       else {
-        if (MtcscA.kl(distribution(w1, b, s), distribution(w2, b, s)) > tau)
+        if (kl(distribution(w1, b, s), distribution(w2, b, s)) > tau)
           out = SpeedConstraint.floorSpeed(SpeedConstraint.quantile(w2.toArray, 0.95) / beta)
         w1.append(w2.removeHead()); w1.removeHead()
         w2.append(s1)
