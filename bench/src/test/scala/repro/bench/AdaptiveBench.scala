@@ -10,7 +10,7 @@ class AdaptiveBench extends AnyFunSuite {
 
   test("Figure 14 shape: MTCSC-A under three initial speed settings") {
     val results = Experiments.adaptiveTransportation()
-    println(Experiments.formatAdaptive(results))
+    Golden.printed("figure14", Experiments.formatAdaptive(results))
 
     for ((mode, rows) <- results) {
       val by = rows.map(r => r.method -> r).toMap
@@ -31,7 +31,7 @@ class AdaptiveBench extends AnyFunSuite {
 
   test("Figure 15 shape: sensitivity over bucket number b and threshold tau") {
     val sensitivity = Experiments.adaptiveSensitivity()
-    println(Experiments.formatSensitivity(sensitivity))
+    Golden.printed("figure15", Experiments.formatSensitivity(sensitivity))
     // robust to b: spread across bucket counts stays small (paper 15(a))
     val rs = sensitivity._1.map(_._2)
     assert(rs.max / math.max(rs.min, 1e-9) < 2.0, s"b sensitivity: $rs")

@@ -10,7 +10,7 @@ class AppsBench extends AnyFunSuite {
 
   test("Figure 16 shape: classification and clustering over cleaned data") {
     val rows = Experiments.applications()
-    println(Experiments.formatApps(rows))
+    Golden.printed("figure16", Experiments.formatApps(rows))
 
     for (ds <- rows.map(_.dataset).distinct) {
       val by = rows.filter(_.dataset == ds).map(r => r.variant -> r).toMap

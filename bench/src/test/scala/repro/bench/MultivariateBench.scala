@@ -20,7 +20,7 @@ class MultivariateBench extends AnyFunSuite {
     val truth = TimeSeriesGen.ild(20000)
     for (pattern <- Seq(ErrorInjector.Together, ErrorInjector.Separate)) {
       val sweep = Experiments.errorRateSweep(truth, Seq(0.05, 0.10, 0.20), pattern, seeds, Harness.methods)
-      println(Experiments.formatSweep(s"ILD error-rate sweep ($pattern)", "e", sweep))
+      Golden.printed(s"figures8-9-ild-$pattern", Experiments.formatSweep(s"ILD error-rate sweep ($pattern)", "e", sweep))
       for (row <- sweep) {
         val by = row.rows.map(r => r.method -> r).toMap
         assert(by("MTCSC-C").rmse < by("Dirty").rmse, s"$pattern e=${row.x}")
@@ -43,7 +43,7 @@ class MultivariateBench extends AnyFunSuite {
     val truth = TimeSeriesGen.ecg(10000, dims = 16)
     val sweep = Experiments.errorRateSweep(truth, Seq(0.10), ErrorInjector.Together, seeds,
       zoo("MTCSC-G", "MTCSC-L", "MTCSC-C", "MTCSC-Uni", "SCREEN", "SpeedAcc", "LsGreedy", "EWMA"))
-    println(Experiments.formatSweep("ECG-16d, together, e=10%", "e", sweep))
+    Golden.printed("figure9a-ecg", Experiments.formatSweep("ECG-16d, together, e=10%", "e", sweep))
     val by = sweep.head.rows.map(r => r.method -> r).toMap
     assert(by("MTCSC-C").rmse < by("Dirty").rmse)
     assert(by("MTCSC-C").rmse < by("SCREEN").rmse, "joint constraint wins on ECG")
@@ -56,7 +56,7 @@ class MultivariateBench extends AnyFunSuite {
     for (pattern <- Seq(ErrorInjector.Together, ErrorInjector.Separate)) {
       val sweep = Experiments.dataSizeSweep(TimeSeriesGen.ild(_), Seq(5000, 10000, 20000),
         0.10, pattern, seeds, Harness.methods)
-      println(Experiments.formatSweep(s"ILD data-size sweep ($pattern)", "n", sweep))
+      Golden.printed(s"figures10-11-ild-$pattern", Experiments.formatSweep(s"ILD data-size sweep ($pattern)", "n", sweep))
       for (row <- sweep) {
         val by = row.rows.map(r => r.method -> r).toMap
         assert(by("MTCSC-C").rmse < by("Dirty").rmse, s"$pattern n=${row.x}")
@@ -71,7 +71,7 @@ class MultivariateBench extends AnyFunSuite {
     for (pattern <- Seq(ErrorInjector.Together, ErrorInjector.Separate)) {
       val sweep = Experiments.errorRateSweep(truth, Seq(0.10), pattern, seeds,
         zoo("MTCSC-G", "MTCSC-L", "MTCSC-C", "MTCSC-Uni", "SCREEN", "LsGreedy", "EWMA"))
-      println(Experiments.formatSweep(s"TAO e=10% ($pattern)", "e", sweep))
+      Golden.printed(s"figures8c-9c-tao-$pattern", Experiments.formatSweep(s"TAO e=10% ($pattern)", "e", sweep))
       val by = sweep.head.rows.map(r => r.method -> r).toMap
       assert(by("MTCSC-C").rmse < by("Dirty").rmse, s"$pattern")
       assert(by("MTCSC-Uni").rmse < by("Dirty").rmse, s"$pattern")
@@ -83,7 +83,7 @@ class MultivariateBench extends AnyFunSuite {
 
   test("Figure 13 shape: ECG dimension sweep") {
     val sweep = Experiments.dimensionSweep(6000, Seq(4, 8, 16, 32), 0.10, seeds)
-    println(Experiments.formatSweep("ECG dimension sweep", "D", sweep))
+    Golden.printed("figure13", Experiments.formatSweep("ECG dimension sweep", "D", sweep))
     for (row <- sweep) {
       val by = row.rows.map(r => r.method -> r).toMap
       assert(by("MTCSC-C").rmse < by("Dirty").rmse, s"D=${row.x}")

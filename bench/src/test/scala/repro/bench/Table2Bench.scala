@@ -10,8 +10,7 @@ class Table2Bench extends AnyFunSuite {
 
   test("Table 2: dataset summary") {
     val rows = Experiments.table2(full = true)
-    println("== Table 2: Summary of datasets ==")
-    println(Experiments.formatTable2(rows))
+    Golden.printed("table2", "== Table 2: Summary of datasets ==\n" + Experiments.formatTable2(rows))
 
     val byName = rows.map(r => r.name -> r).toMap
     // paper sizes/dims reproduced exactly

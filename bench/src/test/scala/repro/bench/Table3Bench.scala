@@ -10,8 +10,7 @@ import repro.eval.Experiments
 class Table3Bench extends AnyFunSuite {
 
   test("Table 3: summary of compared methods") {
-    println("== Table 3: Summary of compared methods ==")
-    println(Experiments.formatTable3())
+    Golden.printed("table3", "== Table 3: Summary of compared methods ==\n" + Experiments.formatTable3())
 
     val names = Cleaners.table3.map(_.name)
     assert(names.size == 13)

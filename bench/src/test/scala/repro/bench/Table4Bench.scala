@@ -12,7 +12,7 @@ class Table4Bench extends SparkSpec {
 
   test("Table 4: GPS(Walk) with manually labeled ground truth") {
     val rows = Experiments.table4(spark)
-    println(Experiments.formatTable4(rows))
+    Golden.printed("table4", Experiments.formatTable4(rows))
 
     val by = rows.map(r => r.method -> r).toMap
     val dirty = by("Dirty").rmse

@@ -21,7 +21,7 @@ class UnivariateBench extends AnyFunSuite {
     val sweep = Experiments.errorRateSweep(truth, Seq(0.05, 0.10, 0.15, 0.20, 0.25),
       ErrorInjector.Together, seeds,
       (cfg, _) => Seq(MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc)))
-    println(Experiments.formatSweep("Figure 5 shape: Stock, MTCSC proposals", "e", sweep))
+    Golden.printed("figure5", Experiments.formatSweep("Figure 5 shape: Stock, MTCSC proposals", "e", sweep))
     for (row <- sweep) {
       val by = row.rows.map(r => r.method -> r).toMap
       assert(by("MTCSC-G").rmse < by("Dirty").rmse, s"G at e=${row.x}")
@@ -40,7 +40,7 @@ class UnivariateBench extends AnyFunSuite {
     val truth = TimeSeriesGen.ild(10000).map(p => TimePoint.uni(p.t, p.v(0)))
     val sweep = Experiments.errorRateSweep(truth, Seq(0.05, 0.10, 0.20, 0.25),
       ErrorInjector.Together, seeds, zoo)
-    println(Experiments.formatSweep("Figure 6 shape: ILD temperature, all methods", "e", sweep))
+    Golden.printed("figure6", Experiments.formatSweep("Figure 6 shape: ILD temperature, all methods", "e", sweep))
     for (row <- sweep) {
       val by = row.rows.map(r => r.method -> r).toMap
       assert(by("MTCSC-C").rmse < by("Dirty").rmse, s"e=${row.x}")
@@ -62,7 +62,7 @@ class UnivariateBench extends AnyFunSuite {
     val sweep = Experiments.dataSizeSweep(
       n => TimeSeriesGen.ild(n).map(p => TimePoint.uni(p.t, p.v(0))),
       Seq(5000, 10000, 20000), 0.05, ErrorInjector.Together, Seq(1L, 2L), zoo)
-    println(Experiments.formatSweep("Figure 7 shape: ILD temperature, data size", "n", sweep))
+    Golden.printed("figure7", Experiments.formatSweep("Figure 7 shape: ILD temperature, data size", "n", sweep))
     for (row <- sweep) {
       val by = row.rows.map(r => r.method -> r).toMap
       assert(by("MTCSC-C").rmse < by("Dirty").rmse, s"n=${row.x}")
