@@ -86,18 +86,21 @@ object MtcscG {
   private def repairInto(out: Array[TimePoint], xs: Array[TimePoint], fixes: Array[Int]): Unit = {
     if (fixes.isEmpty) return
     val isFix = new Array[Boolean](xs.length)
-    fixes.foreach(isFix(_) = true)
-    for (i <- fixes) {
+    var f = 0
+    while (f < fixes.length) { isFix(fixes(f)) = true; f += 1 }
+    f = 0
+    while (f < fixes.length) {
+      val i = fixes(f)
       var p = i - 1
       while (p >= 0 && isFix(p)) p -= 1
       var m = i + 1
       while (m < xs.length && isFix(m)) m += 1
-      (p >= 0, m < xs.length) match {
-        case (true, true)  => TimePoint.interpolate(out(i), xs(p), xs(m))
-        case (true, false) => Array.copy(xs(p).v, 0, out(i).v, 0, out(i).v.length)
-        case (false, true) => Array.copy(xs(m).v, 0, out(i).v, 0, out(i).v.length)
-        case _             => () // single-point series: nothing to anchor on
-      }
+      if (p >= 0) {
+        if (m < xs.length) TimePoint.interpolate(out(i), xs(p), xs(m))
+        else System.arraycopy(xs(p).v, 0, out(i).v, 0, out(i).v.length)
+      } else if (m < xs.length) System.arraycopy(xs(m).v, 0, out(i).v, 0, out(i).v.length)
+      // else a single-point series: nothing to anchor on
+      f += 1
     }
   }
 }

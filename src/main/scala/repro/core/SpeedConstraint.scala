@@ -13,7 +13,10 @@ final case class SpeedConstraint(s: Double, w: Double) {
 
   /** Pure speed test d(a, b) <= s * dt, with no window cut-off — the
     * check MTCSC-G's DP and the online algorithms' scans apply (Example 3.3
-    * accepts a successor at gap 3 > w = 2 because d <= s * 3).
+    * accepts a successor at gap 3 > w = 2 because d <= s * 3). It is
+    * symmetric bit for bit: swapping `a` and `b` negates every difference
+    * it takes, which leaves `abs`, each square and so the result unchanged.
+    * MTCSC-C's run relies on that to reuse a raw pair's verdict.
     */
   def speedOk(a: TimePoint, b: TimePoint): Boolean = {
     val dt = math.abs(b.t - a.t)

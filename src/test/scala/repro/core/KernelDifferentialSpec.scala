@@ -153,6 +153,20 @@ class KernelDifferentialSpec extends AnyFunSuite {
     }
   }
 
+  test("MTCSC-A recapturing on many steps, inside C's windows, equals the reference") {
+    // With one speed per window, two buckets and tau = 0, KL fires where
+    // the last two raw speeds fall on either side of s, and each firing
+    // swaps the constraint under verdicts C's run took on the old one.
+    var recaptures = 0
+    forAllSampled(caseGen, 400) { c =>
+      val a = MtcscA(c.sc, b = 2, tau = 0.0, m = 1, beta = 1.0)
+      val (want, changes) = Reference.cleanA(c.xs, a)
+      recaptures += changes
+      assertSame(a.clean(c.xs), want, s"$c $a")
+    }
+    assert(recaptures > 1000, s"only $recaptures recaptures fired")
+  }
+
   test("all kernels match the reference on TAO with Together errors at 10% and 50%") {
     val truth = TimeSeriesGen.tao(3000, seed = 5)
     val cfg = Harness.configFrom(truth, w = 10)

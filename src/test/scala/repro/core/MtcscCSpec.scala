@@ -158,4 +158,75 @@ class MtcscCSpec extends AnyFunSuite {
       assert(MtcscG.fixList(pts, scl).length <= cFix)
     }
   }
+
+  // --- Deciding a window from the raw pairs' verdicts (DESIGN §4c item 2) ---
+
+  /** Three points at 0 (t = 0, 1, 2), the key point k = 3 far off them at
+    * 100, then its window of `w` = one time unit per point (s = 1): `lead`
+    * points at 50, compatible with nothing; `a` points at 0, the first
+    * cluster; `b` points at 1.5, which no 0 one time unit before admits but
+    * out(2) does, so they form a second cluster; and three trailing points
+    * at 0. `dup` adds a point at the timestamp of the first cluster's first
+    * point: at 0 it joins that cluster (a dt = 0 pair that holds), at 1.5 it
+    * opens a cluster of its own (a dt = 0 pair that breaks).
+    */
+  private def twoClusters(lead: Int, a: Int, b: Int, dup: Option[Double]): (Array[TimePoint], SpeedConstraint) = {
+    val values = Seq(0.0, 0.0, 0.0, 100.0) ++ Seq.fill(lead)(50.0) ++ Seq.fill(a)(0.0) ++ Seq.fill(b)(1.5) ++ Seq.fill(3)(0.0)
+    val pts = values.zipWithIndex.map { case (x, t) => TimePoint.uni(t.toDouble, x) }
+    val at = 4 + lead
+    val xs = dup.fold(pts)(d => pts.take(at + 1) ++ Seq(TimePoint.uni(at.toDouble, d)) ++ pts.drop(at + 1))
+    (xs.toArray, SpeedConstraint(1.0, (lead + a + b).toDouble))
+  }
+
+  private val layouts = for {
+    lead <- Seq(0, 1)
+    (a, b) <- Seq((2, 7), (3, 6), (4, 5), (5, 4), (4, 4), (5, 5), (6, 3), (1, 1), (1, 0))
+    dup <- Seq(None, Some(0.0), Some(1.5))
+  } yield (lead, a, b, dup)
+
+  test("first broken pair before, at and after the half-window bound: the reference's head, ties to the first") {
+    val wins = for ((lead, a, b, dup) <- layouts) yield {
+      val clue = s"lead=$lead a=$a b=$b dup=$dup"
+      val (xs, sc) = twoClusters(lead, a, b, dup)
+      val out = MtcscC(sc).clean(xs)
+      KernelDifferentialSpec.assertSame(out, Reference.cleanC(xs, sc), clue)
+      // out(3) is interpolated toward the head: 0 when the first cluster
+      // wins, off 0 when the second one does.
+      val p = out(2)
+      val end = xs.indexWhere(_.t > xs(3).t + sc.w)
+      val clusters = Reference.buildClusters(p, xs.slice(4, end), sc)
+      val firstWins = clusters.head.size >= clusters.tail.map(_.size).maxOption.getOrElse(0)
+      assert((out(3).v(0) == 0.0) == firstWins, s"$clue: out(3) = ${out(3)}")
+      assert(new MtcscC.Run(sc).largestClusterHead(p, xs, 4, end) == 4 + clusters.maxBy(_.size).head, clue)
+      if (dup.isEmpty) assert(firstWins == (a >= b), clue)
+      firstWins
+    }
+    assert(wins.count(identity) > 10 && wins.count(!_) > 10)
+  }
+
+  test("a projected point's repair, not its raw value, decides the next step") {
+    // Step 1 projects x1 onto out(0)'s speed ball (1.0); x1 and x2 agree,
+    // but out(1) and x2 do not, so step 2 projects too.
+    val xs = Array(0.0, 10, 10, 10, 10, 10, 10).zipWithIndex.map { case (x, t) => TimePoint.uni(t.toDouble, x) }
+    val sc = SpeedConstraint(1.0, 3.0)
+    val out = MtcscC(sc).clean(xs)
+    KernelDifferentialSpec.assertSame(out, Reference.cleanC(xs, sc), "level shift")
+    assert(out(1).v(0) == 1.0 && out(2).v(0) == 2.0, out.toSeq)
+  }
+
+  test("C resumed with closed = false tests the key point's own raw pair") {
+    // Step 1's window is empty (x2 is 4 after x1, w = 2) and keeps x1. Step
+    // 2 first runs with x3 not yet arrived, then again once x4 closes its
+    // window. The pair (x1, x2) breaks and x3 is incompatible with out(1),
+    // so x2 is projected.
+    val xs = Array((0.0, 0.0), (1.0, 0.0), (5.0, 10.0), (6.0, 10.0), (10.0, 10.0)).map { case (t, x) => TimePoint.uni(t, x) }
+    val sc = SpeedConstraint(1.0, 2.0)
+    val out = TimePoint.copyOf(xs)
+    val run = new MtcscC.Run(sc)
+    assert(run.step(out, xs, 1, 3, closed = false))
+    assert(!run.step(out, xs, 2, 3, closed = false))
+    for (k <- 2 until xs.length) assert(run.step(out, xs, k, xs.length, closed = true))
+    KernelDifferentialSpec.assertSame(out, Reference.cleanC(xs, sc), "resumed")
+    assert(out(2).v(0) == 4.0, out.toSeq)
+  }
 }
