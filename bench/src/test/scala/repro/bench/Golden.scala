@@ -27,7 +27,7 @@ object Golden {
   }
 
   /** `text` with every row's time (`   12.34 ms` at its end) as ` - ms`. */
-  def blank(text: String): String = text.replaceAll("(?m) +\\d+\\.\\d+ ms$", " - ms")
+  private def blank(text: String): String = text.replaceAll("(?m) +\\d+\\.\\d+ ms$", " - ms")
 
   /** Prints `text`, then checks it, blanked, against section `key`. */
   def printed(key: String, text: String): Unit = {
